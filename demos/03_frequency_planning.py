@@ -4,10 +4,10 @@ Planning signal parameters around target frequencies
 
 Folding only preserves bins whose index is a multiple of l = n/c, so a
 measurement has to be set up so the frequencies of interest land on that
-grid.  Given a sample rate and targets, the planner searches divisor
-pairs (n, c) for the cheapest plan whose retained bins hit every target:
-smallest c first (the c-point transform dominates the cost), then
-smallest n.
+grid.  Retained bin k sits at k*fs/c whatever n is, so given a sample
+rate and targets the planner returns the smallest c whose retained bins
+hit every target (the c-point transform dominates the cost) with the
+shortest length that folds to it, n = 2c.
 """
 
 from ricdft import InfeasibleError, coverage_report, plan_for_frequencies

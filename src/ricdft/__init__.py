@@ -16,18 +16,16 @@ from .core import (
     NotPowerOfTwoError,
     OpCounter,
     OutOfRangeError,
-    RectIndex,
     RicdftError,
     RicPlan,
+    SequenceError,
     as_complex_sequence,
     correction_factor,
-    flat_to_rect,
     is_power_of_two,
     make_plan,
     plan_from_exponents,
-    rect_to_flat,
 )
-from .engine import TwiddleFactor, dft_direct, fft_radix2, transform, twiddle_table
+from .engine import dft_direct, fft_radix2, transform, twiddle_table
 from .fold import FoldedSequence, fold, fold_spectrum
 from .io import (
     SignalFileError,
@@ -73,13 +71,12 @@ __all__ = [
     "OpCounter",
     "OutOfRangeError",
     "PlanProposal",
-    "RectIndex",
     "RicPlan",
     "RicSpectrum",
     "RicdftError",
+    "SequenceError",
     "SignalFileError",
     "SignalFormat",
-    "TwiddleFactor",
     "VerificationReport",
     "as_complex_sequence",
     "compare_values",
@@ -87,7 +84,6 @@ __all__ = [
     "coverage_report",
     "dft_direct",
     "fft_radix2",
-    "flat_to_rect",
     "fold",
     "fold_spectrum",
     "is_power_of_two",
@@ -95,7 +91,6 @@ __all__ = [
     "plan_for_frequencies",
     "plan_from_exponents",
     "read_signal",
-    "rect_to_flat",
     "ric_dft",
     "ric_idft",
     "ric_index_set",

@@ -6,6 +6,7 @@ Exit codes: 0 success (or verification pass), 1 verification failure,
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -16,7 +17,7 @@ from .engine import dft_direct
 from .fold import fold
 from .io import SignalFileError, read_signal, synthesize_tones, write_signal, write_spectrum
 from .planner import InfeasibleError, plan_for_frequencies
-from .ric import compare_values, ric_dft, ric_idft, ric_index_set, verify_against_oracle
+from .ric import _ric, compare_values, ric_index_set, verify_against_oracle
 
 
 def _add_plan_flags(sub):
@@ -38,12 +39,15 @@ def _mode(args) -> NormalizationMode:
     return NormalizationMode(args.mode)
 
 
-def _ints(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
-
-
-def _floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _numbers(text: str, kind) -> list:
+    """Parse a comma-separated list of finite ints or floats."""
+    try:
+        values = [kind(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise RicdftError(f"expected comma-separated numbers, got {text!r}") from None
+    if kind is float and not all(math.isfinite(v) for v in values):
+        raise RicdftError(f"non-finite number in {text!r}")
+    return values
 
 
 def cmd_compress(args) -> int:
@@ -60,10 +64,7 @@ def _cmd_transform(args, direction: Direction) -> int:
     plan = _plan_from_args(args)
     x = read_signal(args.infile, args.in_format)
     counter = OpCounter()
-    if direction is Direction.FORWARD:
-        spectrum = ric_dft(x, plan, _mode(args), counter)
-    else:
-        spectrum = ric_idft(x, plan, _mode(args), counter)
+    spectrum = _ric(x, plan, direction, _mode(args), counter)
     write_spectrum(spectrum, args.outfile, args.out_format)
     print(
         f"{direction.value} transform at indices 0,{plan.l},..,{(plan.c - 1) * plan.l}"
@@ -81,7 +82,7 @@ def cmd_idft(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    targets = _floats(args.targets)
+    targets = _numbers(args.targets, float)
     proposal = plan_for_frequencies(
         args.sample_rate, targets, args.max_n,
         power_of_two_only=not args.any_n, tol=args.tol,
@@ -110,9 +111,9 @@ def cmd_plan(args) -> int:
 
 def cmd_bench(args) -> int:
     config = BenchConfig(
-        n_list=tuple(_ints(args.n_list)),
+        n_list=tuple(_numbers(args.n_list, int)),
         c_policy=args.c_policy,
-        c_list=tuple(_ints(args.c_list)) if args.c_list else (),
+        c_list=tuple(_numbers(args.c_list, int)),
         trials=args.trials,
         seed=args.seed,
         direct_limit=args.direct_limit,
@@ -136,10 +137,7 @@ def cmd_verify(args) -> int:
         raise RicdftError("give --in FILE or --random")
     if args.perturb:
         # corrupt the folded path only, so the check must fail
-        if direction is Direction.FORWARD:
-            got = ric_dft(x, plan, mode).values
-        else:
-            got = ric_idft(x, plan, mode).values
+        got = _ric(x, plan, direction, mode, None).values
         got = got + args.perturb * max(1.0, float(np.max(np.abs(got))))
         oracle = dft_direct(x, direction, mode)[ric_index_set(plan)]
         report = compare_values(got, oracle, args.tol)
@@ -161,6 +159,8 @@ def _parse_tone(text: str):
         phase = float(parts[2]) if len(parts) == 3 else 0.0
     except ValueError:
         raise RicdftError(f"tone {text!r} must be BIN:AMP or BIN:AMP:PHASE") from None
+    if not (math.isfinite(amp) and math.isfinite(phase)):
+        raise RicdftError(f"tone {text!r} has a non-finite amplitude or phase")
     return bin_idx, amp, phase
 
 

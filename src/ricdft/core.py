@@ -1,4 +1,4 @@
-"""Domain types, plan construction and index arithmetic.
+"""Domain types, plan construction and normalization bookkeeping.
 
 The central object is the :class:`RicPlan`, a validated factorization
 ``N = L * C`` of a signal length.  Arranging an N-point signal as an
@@ -11,9 +11,9 @@ Indices are 0-based throughout.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +40,10 @@ class LengthMismatchError(RicdftError, ValueError):
 
 class NotPowerOfTwoError(RicdftError, ValueError):
     """A length that must be a power of two is not."""
+
+
+class SequenceError(RicdftError, ValueError):
+    """A sequence is not a finite, non-empty 1-d array of complex samples."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,14 +100,22 @@ class RicPlan:
             raise OutOfRangeError(f"c={self.c} outside [2, {self.n // 2}] for n={self.n}")
 
 
+def _size(name: str, value) -> int:
+    # bool is an Integral subclass, but True is no length
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise OutOfRangeError(f"{name}={value!r} is not an integer size")
+    return int(value)
+
+
 def make_plan(n: int, c: int) -> RicPlan:
     """Build the plan folding an n-point sequence down to c points.
 
-    Requires n >= 4, c a divisor of n and 2 <= c <= n/2 (so the fold depth
-    l = n/c is at least 2).  The exponent view (q, p) is populated only
-    when n and c are both powers of two.
+    Requires integer sizes (Python or numpy integers, not bool), n >= 4,
+    c a divisor of n and 2 <= c <= n/2 (so the fold depth l = n/c is at
+    least 2).  The exponent view (q, p) is populated only when n and c are
+    both powers of two.
     """
-    n, c = int(n), int(c)
+    n, c = _size("n", n), _size("c", c)
     if n < 4:
         raise OutOfRangeError(f"n={n} is too short to fold; need n >= 4")
     if not (2 <= c <= n // 2):
@@ -119,7 +131,7 @@ def make_plan(n: int, c: int) -> RicPlan:
 
 def plan_from_exponents(q: int, p: int) -> RicPlan:
     """Build the power-of-two plan with n = 2**q and c = 2**p, p in [1, q-1]."""
-    q, p = int(q), int(p)
+    q, p = _size("q", q), _size("p", p)
     if q < 2:
         raise OutOfRangeError(f"q={q} must be at least 2")
     if not (1 <= p <= q - 1):
@@ -128,52 +140,32 @@ def plan_from_exponents(q: int, p: int) -> RicPlan:
 
 
 # ---------------------------------------------------------------------------
-# Rectangular index arithmetic
-# ---------------------------------------------------------------------------
-
-class RectIndex(NamedTuple):
-    """Row/column position of a sample in the l x c arrangement."""
-
-    l: int
-    c: int
-
-
-def rect_to_flat(idx: RectIndex, plan: RicPlan) -> int:
-    """Flatten a (row, column) position: n = l*C + c."""
-    if not (0 <= idx.l < plan.l):
-        raise OutOfRangeError(f"row {idx.l} outside [0, {plan.l - 1}]")
-    if not (0 <= idx.c < plan.c):
-        raise OutOfRangeError(f"column {idx.c} outside [0, {plan.c - 1}]")
-    return idx.l * plan.c + idx.c
-
-
-def flat_to_rect(n: int, plan: RicPlan) -> RectIndex:
-    """Invert :func:`rect_to_flat`; recovers the unique (row, column) pair."""
-    if not (0 <= n < plan.n):
-        raise OutOfRangeError(f"index {n} outside [0, {plan.n - 1}]")
-    return RectIndex(l=n // plan.c, c=n % plan.c)
-
-
-# ---------------------------------------------------------------------------
 # Normalization correction
 # ---------------------------------------------------------------------------
+
+def _scale(mode: NormalizationMode, direction: Direction, m: int) -> float:
+    """The factor a length-m transform carries under ``mode`` and ``direction``.
+
+    1/sqrt(m) in both directions for UNITARY, 1/m on the inverse only for
+    RECIPROCAL_N, 1 otherwise.
+    """
+    if mode is NormalizationMode.UNITARY:
+        return 1.0 / math.sqrt(m)
+    if mode is NormalizationMode.RECIPROCAL_N and direction is Direction.INVERSE:
+        return 1.0 / m
+    return 1.0
+
 
 def correction_factor(mode: NormalizationMode, direction: Direction, plan: RicPlan) -> float:
     """Scale K restoring the n-point normalization after a c-point transform.
 
     A c-point engine normalizes by c where the caller expects normalization
-    by n = l*c.  The bridge is K = 1/l for the reciprocal convention (since
-    (1/l)(1/c) = 1/n) and K = 1/sqrt(l) for the unitary one; unscaled
-    transforms need no correction.
+    by n = l*c.  Since the scale factor of every mode is multiplicative in
+    the length, the bridge is that factor at length l: K = 1/l for the
+    reciprocal convention ((1/l)(1/c) = 1/n), 1/sqrt(l) for the unitary one,
+    and 1 for unscaled transforms.
     """
-    if mode is NormalizationMode.NONE:
-        return 1.0
-    if mode is NormalizationMode.UNITARY:
-        return 1.0 / math.sqrt(plan.l)
-    # RECIPROCAL_N scales the inverse only; the forward side is unscaled.
-    if direction is Direction.INVERSE:
-        return 1.0 / plan.l
-    return 1.0
+    return _scale(mode, direction, plan.l)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +204,19 @@ class OpCounter:
 # ---------------------------------------------------------------------------
 
 def as_complex_sequence(x) -> np.ndarray:
-    """Coerce to a 1-d complex128 array and reject NaN/Inf samples."""
-    arr = np.asarray(x, dtype=np.complex128)
+    """Coerce to a 1-d complex128 array; raise :class:`SequenceError` otherwise.
+
+    Rejects input that does not convert, has other than one dimension, is
+    empty or holds NaN/Inf samples.
+    """
+    try:
+        arr = np.asarray(x, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise SequenceError(f"not a complex sequence: {exc}") from None
     if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d sequence, got shape {arr.shape}")
+        raise SequenceError(f"expected a 1-d sequence, got shape {arr.shape}")
     if arr.size < 1:
-        raise ValueError("sequence must hold at least one sample")
+        raise SequenceError("sequence must hold at least one sample")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError("sequence contains non-finite samples")
+        raise SequenceError("sequence contains non-finite samples")
     return arr

@@ -4,9 +4,11 @@ Two engines share one contract: a direct quadratic DFT/IDFT that serves as
 the correctness reference for any length, and an iterative radix-2 FFT for
 power-of-two lengths.  :func:`transform` dispatches between them.
 
-Twiddle exponents are reduced modulo the order in integer arithmetic
-before any trig evaluation, so W_M**a == W_M**(a mod M) holds to machine
-precision even for huge exponents.
+Twiddle factors come from one cached table per length M, entry r holding
+W_M**(-r) = exp(-2j*pi*r/M).  Exponents are reduced modulo M in integer
+arithmetic before the table is indexed, so W_M**a == W_M**(a mod M) holds
+exactly even for huge exponents.  Output scaling follows the rule in
+:mod:`ricdft.core` that also gives the pipeline's correction factor.
 
 Operation counting conventions: the direct engine counts every twiddle
 product (including multiplications by 1, -1, +-j) as one complex
@@ -17,9 +19,6 @@ trivial twiddles are multiplied and counted like any other.  Output
 scaling applied by a normalization mode is not counted.
 """
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -27,31 +26,18 @@ from .core import (
     NormalizationMode,
     NotPowerOfTwoError,
     OpCounter,
+    _scale,
     as_complex_sequence,
     is_power_of_two,
 )
 
 __all__ = [
     "Direction",
-    "TwiddleFactor",
     "twiddle_table",
     "dft_direct",
     "fft_radix2",
     "transform",
 ]
-
-
-@dataclass(frozen=True)
-class TwiddleFactor:
-    """W_order**exponent = exp(2j*pi*exponent/order), exponent any integer."""
-
-    order: int
-    exponent: int
-
-    @property
-    def value(self) -> complex:
-        r = self.exponent % self.order  # exact periodicity, keeps the angle small
-        return complex(np.exp(2j * np.pi * (r / self.order)))
 
 
 # Per-length tables of W_M**(-r) for r = 0..M-1, built once and then
@@ -82,14 +68,6 @@ def _bit_reversal(m: int) -> np.ndarray:
         perm.setflags(write=False)
         _bitrev[m] = perm
     return perm
-
-
-def _scale(mode: NormalizationMode, direction: Direction, m: int) -> float:
-    if mode is NormalizationMode.UNITARY:
-        return 1.0 / math.sqrt(m)
-    if mode is NormalizationMode.RECIPROCAL_N and direction is Direction.INVERSE:
-        return 1.0 / m
-    return 1.0
 
 
 def dft_direct(

@@ -1,14 +1,22 @@
 """Choose (n, c) so target frequencies land exactly on retained bins.
 
 With sample rate fs and length n, bin m sits at m*fs/n Hz and the folded
-pipeline retains bins that are multiples of l = n/c.  The planner searches
-divisor pairs of candidate lengths for the cheapest plan whose retained
-bins cover every requested frequency: minimal c first (the c-point
-transform dominates the multiplication count), then minimal n.
+pipeline retains the bins k*l, k = 0..c-1, with l = n/c.  Retained bin k
+therefore sits at k*fs/c whatever n is, so n never changes which
+frequencies a plan hits, and the cheapest plan for a given c is the
+shortest, n = 2c.  The planner picks the smallest feasible c (the c-point
+transform dominates the multiplication count) and sets n = 2c: it scans c
+over the powers of two, or over every integer with ``power_of_two_only``
+off, up to max_n/2.
+
+A bin's frequency k*fs/c is computed exactly and rounded to float once, so
+whether a target is hit depends on (c, k) alone and never on how the
+product was rounded.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .core import OutOfRangeError, RicdftError, RicPlan, make_plan
 
@@ -41,41 +49,26 @@ class InfeasibleError(RicdftError):
         self.best_plan = best_plan
 
 
-def _nearest_k(target: float, l: int, bin_width: float, c: int) -> int:
-    """Index k of the retained bin k*l nearest to target; ties go lower."""
-    pos = target / (l * bin_width)
-    lo = min(max(int(math.floor(pos)), 0), c - 1)
-    hi = min(lo + 1, c - 1)
-    err_lo = abs(lo * l * bin_width - target)
-    err_hi = abs(hi * l * bin_width - target)
-    return hi if err_hi < err_lo else lo
+def _assign(target: float, plan: RicPlan, sample_rate: float) -> Assignment:
+    """Map target onto the nearest retained bin; ties go to the lower bin."""
+    fs = Fraction(sample_rate)
+
+    def achieved(k: int) -> float:
+        return float(fs * k / plan.c)  # k*fs/c, rounded once
+
+    lo = min(math.floor(Fraction(target) * plan.c / fs), plan.c - 1)
+    hi = min(lo + 1, plan.c - 1)
+    k = hi if abs(achieved(hi) - target) < abs(achieved(lo) - target) else lo
+    hz = achieved(k)
+    rel = 0.0 if target == 0 else abs(hz - target) / target
+    return Assignment(target=target, k=k, bin_index=k * plan.l, achieved=hz, rel_error=rel)
 
 
-def _assign(target: float, plan: RicPlan, bin_width: float) -> Assignment:
-    k = _nearest_k(target, plan.l, bin_width, plan.c)
-    achieved = k * plan.l * bin_width
-    rel = 0.0 if target == 0 else abs(achieved - target) / target
-    return Assignment(target=target, k=k, bin_index=k * plan.l, achieved=achieved, rel_error=rel)
-
-
-def _candidate_pairs(max_n: int, power_of_two_only: bool) -> list[tuple[int, int]]:
-    """All valid (c, n) pairs with n <= max_n, sorted ascending by (c, n)."""
-    pairs = []
+def _candidate_cs(max_n: int, power_of_two_only: bool):
+    """Compressed lengths c with 2c <= max_n, ascending."""
     if power_of_two_only:
-        n = 4
-        while n <= max_n:
-            c = 2
-            while c <= n // 2:
-                pairs.append((c, n))
-                c *= 2
-            n *= 2
-    else:
-        for n in range(4, max_n + 1):
-            for c in range(2, n // 2 + 1):
-                if n % c == 0:
-                    pairs.append((c, n))
-    pairs.sort()
-    return pairs
+        return [1 << p for p in range(1, (max_n // 2).bit_length())]
+    return range(2, max_n // 2 + 1)
 
 
 def plan_for_frequencies(
@@ -85,17 +78,16 @@ def plan_for_frequencies(
     power_of_two_only: bool = True,
     tol: float = 0.0,
 ) -> PlanProposal:
-    """Search n <= max_n for the cheapest plan covering all targets.
+    """Return the plan with the smallest feasible c and n = 2c <= max_n.
 
-    Returns the feasible proposal with minimal c, ties broken by minimal n.
     Every target must sit within ``tol`` relative error of a retained bin
     (default 0: exact hits only).  Targets must lie strictly inside
     (0, sample_rate/2).  Raises :class:`InfeasibleError` with the best
     achievable error when nothing fits.
     """
     targets = [float(t) for t in targets]
-    if sample_rate <= 0:
-        raise OutOfRangeError(f"sample_rate must be positive, got {sample_rate}")
+    if not (math.isfinite(sample_rate) and sample_rate > 0):
+        raise OutOfRangeError(f"sample_rate must be positive and finite, got {sample_rate}")
     if not targets:
         raise OutOfRangeError("need at least one target frequency")
     for t in targets:
@@ -105,29 +97,28 @@ def plan_for_frequencies(
         raise OutOfRangeError(f"max_n={max_n} must be at least 4")
 
     best_err = float("inf")
-    best_pair: tuple[int, int] | None = None
-    for c, n in _candidate_pairs(int(max_n), power_of_two_only):
-        plan = make_plan(n, c)
-        bin_width = sample_rate / n
-        assignments = tuple(_assign(t, plan, bin_width) for t in targets)
+    best_plan: RicPlan | None = None
+    for c in _candidate_cs(int(max_n), power_of_two_only):
+        plan = make_plan(2 * c, c)
+        assignments = tuple(_assign(t, plan, sample_rate) for t in targets)
         worst = max(a.rel_error for a in assignments)
         if worst <= tol:
             return PlanProposal(
                 plan=plan,
                 sample_rate=float(sample_rate),
-                bin_width=bin_width,
+                bin_width=sample_rate / plan.n,
                 assignments=assignments,
             )
         if worst < best_err:
             best_err = worst
-            best_pair = (n, c)
+            best_plan = plan
     detail = ""
-    if best_pair is not None:
-        detail = f"; best achievable rel_error={best_err:.6g} at n={best_pair[0]}, c={best_pair[1]}"
+    if best_plan is not None:
+        detail = f"; best achievable rel_error={best_err:.6g} at n={best_plan.n}, c={best_plan.c}"
     raise InfeasibleError(
         f"no plan with n <= {max_n} hits all targets within tol={tol}{detail}",
         best_rel_error=best_err,
-        best_plan=make_plan(*best_pair) if best_pair is not None else None,
+        best_plan=best_plan,
     )
 
 
@@ -141,5 +132,5 @@ def coverage_report(proposal: PlanProposal, extra_targets) -> list[Assignment]:
         t = float(t)
         if t < 0:
             raise OutOfRangeError(f"target {t} Hz is negative")
-        rows.append(_assign(t, proposal.plan, proposal.bin_width))
+        rows.append(_assign(t, proposal.plan, proposal.sample_rate))
     return rows

@@ -2,10 +2,10 @@
 
 The forward path computes the n-point DFT values X[k*L] for k = 0..C-1 by
 transforming the c-point fold of the signal; the inverse path computes the
-n-point IDFT values x[n*L] the same way from a folded spectrum.  A c-point
-engine normalizes by c rather than n, so a correction factor
-K in {1, 1/L, 1/sqrt(L)} restores the requested convention (see
-:func:`ricdft.core.correction_factor`).
+n-point IDFT values x[n*L] the same way from a folded spectrum; both are
+one pipeline parameterized by direction.  A c-point engine normalizes by c
+rather than n, so a correction factor K in {1, 1/L, 1/sqrt(L)} restores the
+requested convention (see :func:`ricdft.core.correction_factor`).
 
 :func:`verify_against_oracle` re-derives the same coefficients through the
 full n-point direct transform and reports the disagreement, which is the
@@ -16,17 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Direction,
-    LengthMismatchError,
-    NormalizationMode,
-    OpCounter,
-    RicPlan,
-    as_complex_sequence,
-    correction_factor,
-)
+from .core import Direction, NormalizationMode, OpCounter, RicPlan, correction_factor
 from .engine import dft_direct, transform
-from .fold import fold, fold_spectrum
+from .fold import fold
 
 
 @dataclass(frozen=True)
@@ -50,19 +42,19 @@ def ric_index_set(plan: RicPlan) -> np.ndarray:
     return np.arange(plan.c, dtype=np.int64) * plan.l
 
 
-def ric_dft(
+def _ric(
     x,
     plan: RicPlan,
-    mode: NormalizationMode = NormalizationMode.NONE,
-    counter: OpCounter | None = None,
+    direction: Direction,
+    mode: NormalizationMode,
+    counter: OpCounter | None,
 ) -> RicSpectrum:
-    """Forward path: values equal the full n-point DFT of x at indices k*L."""
-    x = as_complex_sequence(x)
-    if len(x) != plan.n:
-        raise LengthMismatchError(f"signal has {len(x)} samples, plan expects {plan.n}")
-    folded = fold(x, plan, counter)
-    values = transform(folded.samples, Direction.FORWARD, mode, counter)
-    k = correction_factor(mode, Direction.FORWARD, plan)
+    """Fold, transform at c points in ``direction``, then correct the scale.
+
+    :func:`fold` validates x and its length, once per call.
+    """
+    values = transform(fold(x, plan, counter).samples, direction, mode, counter)
+    k = correction_factor(mode, direction, plan)
     if k != 1.0:
         values = values * k
     return RicSpectrum(
@@ -70,8 +62,18 @@ def ric_dft(
         values=values,
         plan=plan,
         mode=mode,
-        direction=Direction.FORWARD,
+        direction=direction,
     )
+
+
+def ric_dft(
+    x,
+    plan: RicPlan,
+    mode: NormalizationMode = NormalizationMode.NONE,
+    counter: OpCounter | None = None,
+) -> RicSpectrum:
+    """Forward path: values equal the full n-point DFT of x at indices k*L."""
+    return _ric(x, plan, Direction.FORWARD, mode, counter)
 
 
 def ric_idft(
@@ -85,21 +87,7 @@ def ric_idft(
     The c-point engine's implicit 1/c (or 1/sqrt(c)) becomes the requested
     1/n (or 1/sqrt(n)) through the correction factor.
     """
-    spectrum = as_complex_sequence(spectrum)
-    if len(spectrum) != plan.n:
-        raise LengthMismatchError(f"spectrum has {len(spectrum)} samples, plan expects {plan.n}")
-    folded = fold_spectrum(spectrum, plan, counter)
-    values = transform(folded.samples, Direction.INVERSE, mode, counter)
-    k = correction_factor(mode, Direction.INVERSE, plan)
-    if k != 1.0:
-        values = values * k
-    return RicSpectrum(
-        indices=ric_index_set(plan),
-        values=values,
-        plan=plan,
-        mode=mode,
-        direction=Direction.INVERSE,
-    )
+    return _ric(spectrum, plan, Direction.INVERSE, mode, counter)
 
 
 @dataclass(frozen=True)
@@ -143,12 +131,6 @@ def verify_against_oracle(
     error is measured against the max magnitude of the direct values.
     Passes iff max_rel_error <= tolerance.
     """
-    x = as_complex_sequence(x)
-    if len(x) != plan.n:
-        raise LengthMismatchError(f"input has {len(x)} samples, plan expects {plan.n}")
-    if direction is Direction.FORWARD:
-        got = ric_dft(x, plan, mode).values
-    else:
-        got = ric_idft(x, plan, mode).values
+    got = _ric(x, plan, direction, mode, None).values
     oracle = dft_direct(x, direction, mode)[ric_index_set(plan)]
     return compare_values(got, oracle, tolerance)

@@ -53,11 +53,16 @@ def random_complex(rng, n, integer=False):
 
 
 def plan_is_feasible(n, c, sample_rate, targets, tol):
-    """Linear scan over every retained bin; no rounding shortcuts."""
+    """Linear scan over every retained bin; no rounding shortcuts.
+
+    Retained bin k*l sits at exactly k*l*fs/n Hz, rounded once to float:
+    with fs = num/den exactly, that is the int quotient (k*l*num)/(den*n),
+    which Python rounds correctly.
+    """
     l = n // c
-    bw = sample_rate / n
+    num, den = float(sample_rate).as_integer_ratio()
     for t in targets:
-        best = min(abs(k * l * bw - t) for k in range(c))
+        best = min(abs((k * l * num) / (den * n) - t) for k in range(c))
         if best > tol * t:
             return False
     return True

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ricdft
 from ricdft import read_signal, write_signal
 from ricdft.cli import main
 
@@ -184,3 +188,21 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         run("compress")  # missing required flags
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bench", "--n-list", "abc", "--out", "{tmp}/r.csv"], 2),
+    (["plan", "--sample-rate", "800", "--targets", "100,x", "--max-n", "64"], 2),
+    (["synth", "--n", "16", "--tone", "2:nan", "--out", "{tmp}/t.csv"], 2),
+    (["dft", "--in", "{tmp}/x.csv", "--out", "{tmp}/s.csv", "--n", "16", "--c", "4"], 2),
+], ids=["bench-bad-list", "plan-bad-target", "synth-nan-amp", "dft-wrong-length"])
+def test_bad_input_exit_code_without_traceback(tmp_path, argv, code):
+    write_signal(GOLDEN_X, tmp_path / "x.csv")  # 8 samples: wrong length for n = 16
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ricdft.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ricdft"] + [a.format(tmp=tmp_path) for a in argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -7,15 +7,15 @@ from ricdft import (
     NormalizationMode,
     OpCounter,
     OutOfRangeError,
-    RectIndex,
+    SequenceError,
+    as_complex_sequence,
     correction_factor,
-    flat_to_rect,
+    fold,
     make_plan,
     plan_from_exponents,
-    rect_to_flat,
 )
 
-from helpers import divisor_pairs
+from helpers import divisor_pairs, naive_fold
 
 
 def test_make_plan_basic():
@@ -66,33 +66,65 @@ def test_plan_from_exponents_errors():
         plan_from_exponents(1, 1)
 
 
+def test_make_plan_rejects_non_integral_sizes():
+    for n, c in ((8.5, 2), (8, 2.5), (8.0, 2), ("8", 2)):
+        with pytest.raises(OutOfRangeError):
+            make_plan(n, c)
+    with pytest.raises(OutOfRangeError):
+        plan_from_exponents(3.5, 2)
+
+
+def test_make_plan_rejects_bool_sizes():
+    for n, c in ((True, 2), (8, True), (np.True_, 2)):
+        with pytest.raises(OutOfRangeError):
+            make_plan(n, c)
+
+
+def test_make_plan_accepts_numpy_integers():
+    plan = make_plan(np.int64(16), np.int32(4))
+    assert plan == make_plan(16, 4)
+    assert all(type(v) is int for v in (plan.n, plan.c, plan.l, plan.q, plan.p))
+
+
+def test_as_complex_sequence_errors_are_typed():
+    for bad in ([], [[1, 2], [3, 4]], [1, float("nan")], [complex(0, float("inf"))], ["x"]):
+        with pytest.raises(SequenceError):
+            as_complex_sequence(bad)
+    assert issubclass(SequenceError, ValueError)
+
+
 def test_rect_flat_round_trip_is_permutation():
+    # the l x c arrangement is row-major: flat index row*c + col holds
+    # (row, col), every cell once, and the fold sends it to column col only
     for n in (8, 12, 16, 24, 36, 64):
         for c, l in divisor_pairs(n):
             plan = make_plan(n, c)
-            flats = [rect_to_flat(RectIndex(l=row, c=col), plan)
-                     for row in range(plan.l) for col in range(plan.c)]
-            assert sorted(flats) == list(range(n))
-            for flat in flats:
-                idx = flat_to_rect(flat, plan)
-                assert rect_to_flat(idx, plan) == flat
+            cells = set()
+            for flat in range(n):
+                row, col = divmod(flat, c)
+                assert 0 <= row < l and row * c + col == flat
+                cells.add((row, col))
+                x = np.zeros(n, dtype=np.complex128)
+                x[flat] = 1.0
+                got = fold(x, plan).samples
+                want = np.zeros(c, dtype=np.complex128)
+                want[col] = 1.0
+                assert np.array_equal(got, want)
+                assert np.array_equal(got, naive_fold(x, n, c))
+            assert cells == {(row, col) for row in range(l) for col in range(c)}
 
 
 def test_rect_to_flat_examples():
     plan = make_plan(8, 4)
-    assert rect_to_flat(RectIndex(0, 0), plan) == 0
-    assert rect_to_flat(RectIndex(1, 2), plan) == 6
-    assert rect_to_flat(RectIndex(plan.l - 1, plan.c - 1), plan) == plan.n - 1
-
-
-def test_rect_to_flat_bounds():
-    plan = make_plan(8, 4)
-    with pytest.raises(OutOfRangeError):
-        rect_to_flat(RectIndex(2, 0), plan)
-    with pytest.raises(OutOfRangeError):
-        rect_to_flat(RectIndex(0, 4), plan)
-    with pytest.raises(OutOfRangeError):
-        flat_to_rect(8, plan)
+    for (row, col), flat in (((0, 0), 0), ((1, 2), 6), ((plan.l - 1, plan.c - 1), plan.n - 1)):
+        x = np.zeros(plan.n, dtype=np.complex128)
+        x[flat] = 1.0
+        got = fold(x, plan).samples
+        assert row * plan.c + col == flat
+        assert got.tolist() == [1.0 if j == col else 0.0 for j in range(plan.c)]
+    x = np.arange(8, dtype=np.complex128)
+    assert np.array_equal(fold(x, plan).samples, naive_fold(x, 8, 4))
+    assert fold(x, plan).samples.tolist() == [0 + 4, 1 + 5, 2 + 6, 3 + 7]
 
 
 def test_correction_factors():

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from ricdft import (
     NormalizationMode,
     NotPowerOfTwoError,
     OpCounter,
-    TwiddleFactor,
     dft_direct,
     fft_radix2,
     make_plan,
@@ -18,7 +19,6 @@ from helpers import (
     GOLDEN_FOLD,
     GOLDEN_FORWARD,
     GOLDEN_INVERSE_C,
-    divisor_pairs,
     naive_dft,
     random_complex,
 )
@@ -133,30 +133,28 @@ def test_counter_fft():
 
 
 def test_twiddle_factor_periodicity_and_magnitude():
+    # twiddle_table(order)[r] is W_order^r; an exponent e reduces to r = e mod order
     for order in (4, 12, 1024):
+        table = twiddle_table(order)
         for exponent in (-3, 0, 5, order, 7 * order + 2, -11 * order - 9):
-            w = TwiddleFactor(order, exponent).value
+            w = table[exponent % order]
             assert abs(abs(w) - 1.0) <= 1e-12
-            w_shift = TwiddleFactor(order, exponent + order).value
+            w_shift = table[(exponent + order) % order]
             assert w == w_shift  # integer reduction makes this exact
-
-
-def test_twiddle_collapse_identity_small_plans():
-    # W_n^(-k*l*col) equals W_c^(-k*col): the identity that makes the fold lossless
-    for n in (8, 16, 24, 60):
-        for c, l in divisor_pairs(n):
-            for k in range(c):
-                for col in range(c):
-                    big = TwiddleFactor(n, -k * l * col).value
-                    small = TwiddleFactor(c, -k * col).value
-                    assert abs(big - small) <= 1e-12
+            assert w == pytest.approx(cmath.exp(-2j * cmath.pi * exponent / order), abs=1e-10)
 
 
 def test_twiddle_table_agrees_with_twiddle_factor():
-    for order in (2, 8, 24):
+    for order in (2, 4, 8, 12, 24, 1024):
         table = twiddle_table(order)
-        for r in range(order):
-            assert table[r] == pytest.approx(TwiddleFactor(order, -r).value, abs=1e-14)
+        r = np.arange(order)
+        assert np.max(np.abs(np.abs(table) - 1.0)) <= 1e-12
+        # bit for bit the defining expression exp(-2j*pi*r/order)
+        assert np.array_equal(table, np.exp(-2j * np.pi * r / order))
+        for ri in range(order):
+            # W^(-r) == W^((-r) mod order), evaluated independently with cmath
+            want = cmath.exp(2j * cmath.pi * ((-ri) % order) / order)
+            assert table[ri] == pytest.approx(want, abs=1e-14)
 
 
 def test_normalization_scales():

@@ -35,6 +35,7 @@ def test_fold_matches_double_loop_oracle():
 
 
 def test_fold_spectrum_same_kernel():
+    assert fold_spectrum is fold
     rng = np.random.default_rng(12)
     spectrum = random_complex(rng, 8)
     plan = make_plan(8, 4)

@@ -61,14 +61,28 @@ def test_validation_errors():
 
 
 def test_any_n_search_can_beat_powers_of_two():
-    # 3 harmonics of 50 Hz at fs = 600: n = 12, c = 6, l = 2 covers them,
-    # no power of two does at tol 0
+    # 3 harmonics of 50 Hz at fs = 600: retained bins sit at k*600/c Hz, so
+    # c must be a multiple of 12; c = 12, n = 24 covers them and no power of
+    # two does at tol 0
     targets = [50.0, 100.0, 150.0]
     proposal = plan_for_frequencies(600.0, targets, 64, power_of_two_only=False)
+    assert (proposal.plan.c, proposal.plan.n) == (12, 24)
     assert (proposal.plan.c, proposal.plan.n) == exhaustive_best(600.0, targets, 64, False, 0.0)
     assert all(a.rel_error == 0.0 for a in proposal.assignments)
     with pytest.raises(InfeasibleError):
         plan_for_frequencies(600.0, targets, 64, power_of_two_only=True)
+
+
+@pytest.mark.parametrize("sample_rate, targets, want", [
+    (1641.0, [6 * 1641 / 17], (17, 34)),
+    (530.0, [81.53846153846153, 244.6153846153846], (13, 26)),
+])
+def test_hits_do_not_depend_on_n_through_rounding(sample_rate, targets, want):
+    # k*fs/c is rounded once, so a hit at c holds at n = 2c as at any other n
+    proposal = plan_for_frequencies(sample_rate, targets, 128, power_of_two_only=False)
+    assert (proposal.plan.c, proposal.plan.n) == want
+    assert all(a.rel_error == 0.0 for a in proposal.assignments)
+    assert exhaustive_best(sample_rate, targets, 128, False, 0.0) == want
 
 
 def test_optimality_randomized_against_exhaustive():
@@ -101,6 +115,7 @@ def test_optimality_randomized_against_exhaustive():
         else:
             proposal = plan_for_frequencies(sample_rate, targets, max_n, power_of_two_only)
             assert (proposal.plan.c, proposal.plan.n) == want
+            assert want[1] == 2 * want[0]
         checked += 1
     assert checked >= 20
 

@@ -6,6 +6,7 @@ from ricdft import (
     LengthMismatchError,
     NormalizationMode,
     OpCounter,
+    correction_factor,
     dft_direct,
     fold,
     make_plan,
@@ -150,6 +151,22 @@ def test_counter_composition():
         transform(fold(x, plan).samples, F, NONE, engine_only)
         assert total.complex_mults == engine_only.complex_mults
         assert total.complex_adds == engine_only.complex_adds + c * (plan.l - 1)
+
+
+@pytest.mark.parametrize("n", (24, 60, 1024))
+@pytest.mark.parametrize("mode", (NONE, RECIP, UNITARY))
+@pytest.mark.parametrize("direction", (F, I))
+def test_pipeline_is_fold_transform_scale_bit_for_bit(direction, mode, n):
+    rng = np.random.default_rng(n)
+    x = random_complex(rng, n)
+    run = ric_dft if direction is F else ric_idft
+    for c, _ in divisor_pairs(n):
+        plan = make_plan(n, c)
+        spectrum = run(x, plan, mode)
+        k = correction_factor(mode, direction, plan)
+        want = transform(fold(x, plan).samples, direction, mode) * k
+        assert np.array_equal(spectrum.values, want), (c, k)
+        assert spectrum.direction is direction and spectrum.mode is mode
 
 
 def test_verify_against_oracle_golden_signal():
