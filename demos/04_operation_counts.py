@@ -10,6 +10,9 @@ and records exact operation counts plus median wall times.
 Counts are deterministic; timings depend on the machine.
 """
 
+import tempfile
+from pathlib import Path
+
 from ricdft import BenchConfig, emit_report, run_benchmark
 
 config = BenchConfig(n_list=(1024,), c_policy="pow2", trials=9, seed=42)
@@ -35,5 +38,8 @@ print(f"\nsquare plan c=l=32: {square.complex_mults} mults"
       f" ({full_mults // square.complex_mults}x fewer)")
 
 # Reports serialize as csv, json or a markdown table.
-emit_report(report, "bench_1024.md", "markdown")
-print("wrote bench_1024.md")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "bench_1024.md"
+    emit_report(report, path, "markdown")
+    lines = path.read_text().splitlines()
+print(f"markdown report: {len(lines)} lines, header {lines[0]}")

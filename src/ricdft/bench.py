@@ -14,19 +14,20 @@ import csv
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .core import Direction, NormalizationMode, OpCounter, RicdftError, make_plan
 from .engine import dft_direct, transform
-from .ric import ric_dft, ric_index_set
+from .ric import compare_values, ric_dft, ric_index_set
 
 COUNT_NOTE = (
     "direct engine counts every twiddle product (m*m mults, m*(m-1) adds); "
     "radix-2 engine counts one mult and two adds per butterfly, trivial "
     "twiddles included; fold counts c*(l-1) adds and no mults"
 )
+_WARMUP = 1  # discarded runs before each method's timed trials
 
 
 class ConfigError(RicdftError, ValueError):
@@ -40,7 +41,6 @@ class BenchConfig:
     c_list: tuple = ()
     trials: int = 9
     seed: int = 0
-    warmup: int = 1
     direct_limit: int = 1024  # quadratic reference runs only for n <= this
 
 
@@ -86,9 +86,9 @@ def _cs_for(n: int, config: BenchConfig) -> list[int]:
     raise ConfigError(f"unknown c_policy {config.c_policy!r}")
 
 
-def _timed(fn, trials: int, warmup: int):
-    """Run fn(counter) warmup+trials times; return (last output, counts, median ns)."""
-    for _ in range(warmup):
+def _timed(fn, trials: int):
+    """Run fn(counter) _WARMUP+trials times; return (last output, counts, median ns)."""
+    for _ in range(_WARMUP):
         fn(OpCounter())
     times = []
     out = None
@@ -127,66 +127,51 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                     ("direct", lambda ctr: dft_direct(x, Direction.FORWARD, NormalizationMode.NONE, ctr)[idx])
                 )
 
-            cell = [(name,) + _timed(fn, config.trials, config.warmup) for name, fn in methods]
+            cell = [(name,) + _timed(fn, config.trials) for name, fn in methods]
             reference_name = "direct" if n <= config.direct_limit else "full"
             reference = next(out for name, out, _, _ in cell if name == reference_name)
-            denom = float(np.max(np.abs(reference)))
             for name, out, counter, median_ns in cell:
-                err = float(np.max(np.abs(out - reference)))
-                rel = 0.0 if name == reference_name else (err / denom if denom > 0 else err)
                 rows.append(
                     BenchRow(
                         n=n, c=c, l=plan.l, method=name,
                         complex_adds=counter.complex_adds,
                         complex_mults=counter.complex_mults,
                         wall_time_ns=median_ns, trials=config.trials,
-                        max_rel_error=rel,
+                        max_rel_error=compare_values(out, reference).max_rel_error,
                     )
                 )
     rows.sort(key=lambda r: (r.n, r.c, r.method))
     return BenchReport(rows=tuple(rows), seed=config.seed, trials=config.trials)
 
 
-def _row_dict(row: BenchRow) -> dict:
-    return {
-        "n": row.n, "c": row.c, "l": row.l, "method": row.method,
-        "complex_adds": row.complex_adds, "complex_mults": row.complex_mults,
-        "wall_time_ns": row.wall_time_ns, "trials": row.trials,
-        "max_rel_error": row.max_rel_error,
-    }
-
-
-FIELDS = ["n", "c", "l", "method", "complex_adds", "complex_mults",
-          "wall_time_ns", "trials", "max_rel_error"]
-
-
 def emit_report(report: BenchReport, path, fmt="csv"):
     """Serialize the report as csv, json or a markdown table."""
     fmt = str(fmt).lower()
+    names = [f.name for f in fields(BenchRow)]
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(FIELDS)
+            writer.writerow(names)
             for row in report.rows:
-                d = _row_dict(row)
-                writer.writerow([repr(d[k]) if k == "max_rel_error" else d[k] for k in FIELDS])
+                d = asdict(row)
+                writer.writerow([repr(d[k]) if k == "max_rel_error" else d[k] for k in names])
     elif fmt == "json":
         doc = {
             "seed": report.seed,
             "trials": report.trials,
             "note": report.note,
-            "rows": [_row_dict(r) for r in report.rows],
+            "rows": [asdict(r) for r in report.rows],
         }
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
     elif fmt == "markdown":
         with open(path, "w") as fh:
-            fh.write("| " + " | ".join(FIELDS) + " |\n")
-            fh.write("|" + "|".join(" --- " for _ in FIELDS) + "|\n")
+            fh.write("| " + " | ".join(names) + " |\n")
+            fh.write("|" + "|".join(" --- " for _ in names) + "|\n")
             for row in report.rows:
-                d = _row_dict(row)
-                fh.write("| " + " | ".join(str(d[k]) for k in FIELDS) + " |\n")
+                d = asdict(row)
+                fh.write("| " + " | ".join(str(d[k]) for k in names) + " |\n")
             fh.write(f"\nCounting convention: {report.note}\n")
     else:
         raise ConfigError(f"unknown report format {fmt!r}")

@@ -107,6 +107,12 @@ def _size(name: str, value) -> int:
     return int(value)
 
 
+def _tolerance(tol) -> float:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise OutOfRangeError(f"tolerance must be finite and non-negative, got {tol!r}")
+    return tol
+
+
 def make_plan(n: int, c: int) -> RicPlan:
     """Build the plan folding an n-point sequence down to c points.
 

@@ -1,14 +1,21 @@
 """Transform engines for the compressed sequences.
 
 Two engines share one contract: a direct quadratic DFT/IDFT that serves as
-the correctness reference for any length, and an iterative radix-2 FFT for
-power-of-two lengths.  :func:`transform` dispatches between them.
+the correctness reference for any length, and a self-sorting radix-2 FFT
+for power-of-two lengths.  :func:`transform` dispatches between them.
 
 Twiddle factors come from one cached table per length M, entry r holding
 W_M**(-r) = exp(-2j*pi*r/M).  Exponents are reduced modulo M in integer
 arithmetic before the table is indexed, so W_M**a == W_M**(a mod M) holds
 exactly even for huge exponents.  Output scaling follows the rule in
 :mod:`ricdft.core` that also gives the pipeline's correction factor.
+
+The radix-2 engine is the self-sorting (Stockham) decimation-in-time
+form: column j of its R x K work array holds the R-point transform of
+x[j::K], so the output comes out in natural order with no bit-reversal
+pass.  A 2R-point stage's twiddles W_2R**(-j) are W_M**(-j*K/2), the
+length-M table read at stride K/2: the twiddle collapse the fold rests on,
+with a power-of-two stride, so they equal the length-2R table bit for bit.
 
 Operation counting conventions: the direct engine counts every twiddle
 product (including multiplications by 1, -1, +-j) as one complex
@@ -43,7 +50,6 @@ __all__ = [
 # Per-length tables of W_M**(-r) for r = 0..M-1, built once and then
 # read-shared.  Inverse-direction values are exact conjugates.
 _tables: dict[int, np.ndarray] = {}
-_bitrev: dict[int, np.ndarray] = {}
 
 
 def twiddle_table(order: int) -> np.ndarray:
@@ -54,20 +60,6 @@ def twiddle_table(order: int) -> np.ndarray:
         table.setflags(write=False)
         _tables[order] = table
     return table
-
-
-def _bit_reversal(m: int) -> np.ndarray:
-    perm = _bitrev.get(m)
-    if perm is None:
-        bits = m.bit_length() - 1
-        idx = np.arange(m)
-        perm = np.zeros(m, dtype=np.int64)
-        for _ in range(bits):
-            perm = (perm << 1) | (idx & 1)
-            idx >>= 1
-        perm.setflags(write=False)
-        _bitrev[m] = perm
-    return perm
 
 
 def dft_direct(
@@ -108,30 +100,30 @@ def fft_radix2(
     mode: NormalizationMode = NormalizationMode.NONE,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
-    """Iterative decimation-in-time radix-2 FFT for power-of-two lengths.
+    """Self-sorting decimation-in-time radix-2 FFT for power-of-two lengths.
 
-    Matches :func:`dft_direct` on the same inputs up to roundoff.
+    Matches :func:`dft_direct` on the same inputs up to roundoff.  The
+    output is a new array; x is never written.
     """
     x = as_complex_sequence(x)
     m = len(x)
     if not is_power_of_two(m):
         raise NotPowerOfTwoError(f"length {m} is not a power of two")
-    y = x[_bit_reversal(m)]  # fancy indexing copies; input stays untouched
-    half = 1
-    while half < m:
-        step = half * 2
-        w = twiddle_table(step)[:half]
-        if direction is Direction.INVERSE:
-            w = w.conj()
-        blocks = y.reshape(-1, step)
-        hi = blocks[:, half:] * w
-        lo = blocks[:, :half]
-        blocks[:, half:] = lo - hi
-        blocks[:, :half] = lo + hi
+    table = twiddle_table(m)
+    if direction is Direction.INVERSE:
+        table = table.conj()
+    y = x.reshape(1, m)
+    while y.shape[0] < m:
+        rows, half = y.shape[0], y.shape[1] // 2
+        even = y[:, :half]
+        odd = y[:, half:] * table[::half][:rows, None]
+        y = np.concatenate([even + odd, even - odd])
         if counter is not None:
             counter.mul(m // 2)
             counter.add(m)
-        half = step
+    y = y.reshape(m)
+    if m == 1:
+        y = y.copy()  # no stage ran, so y is still a view of x
     s = _scale(mode, direction, m)
     if s != 1.0:
         y *= s
@@ -144,8 +136,14 @@ def transform(
     mode: NormalizationMode = NormalizationMode.NONE,
     counter: OpCounter | None = None,
 ) -> np.ndarray:
-    """Dispatch to the radix-2 engine for power-of-two lengths, else direct."""
-    x = as_complex_sequence(x)
-    if is_power_of_two(len(x)):
+    """Dispatch to the radix-2 engine for power-of-two lengths, else direct.
+
+    The engine validates x.
+    """
+    try:
+        m = np.size(x)
+    except ValueError:  # ragged: the direct engine raises SequenceError
+        m = 0
+    if is_power_of_two(m):
         return fft_radix2(x, direction, mode, counter)
     return dft_direct(x, direction, mode, counter)

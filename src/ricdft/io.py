@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import OutOfRangeError, RicdftError, as_complex_sequence
+from .core import OutOfRangeError, RicdftError, _size, as_complex_sequence
 from .ric import RicSpectrum
 
 
@@ -148,11 +148,12 @@ def write_spectrum(spectrum: RicSpectrum, path, fmt="csv"):
 def synthesize_tones(n: int, tones) -> np.ndarray:
     """Sum of complex exponentials: amp * exp(j*(2*pi*bin*m/n + phase)).
 
+    n is an integer size (Python or numpy integer, not bool or float).
     ``tones`` is an iterable of (bin, amplitude, phase) with integer bins
     in [0, n-1].  Bin*index products are reduced mod n before the angle is
     formed, keeping every sample accurate to machine precision.
     """
-    n = int(n)
+    n = _size("n", n)
     if n < 1:
         raise OutOfRangeError(f"n={n} must be positive")
     m = np.arange(n, dtype=np.int64)

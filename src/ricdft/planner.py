@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import OutOfRangeError, RicdftError, RicPlan, make_plan
+from .core import OutOfRangeError, RicdftError, RicPlan, _tolerance, make_plan
 
 
 @dataclass(frozen=True)
@@ -81,11 +81,13 @@ def plan_for_frequencies(
     """Return the plan with the smallest feasible c and n = 2c <= max_n.
 
     Every target must sit within ``tol`` relative error of a retained bin
-    (default 0: exact hits only).  Targets must lie strictly inside
+    (default 0: exact hits only); a negative or non-finite ``tol`` raises
+    :class:`OutOfRangeError`.  Targets must lie strictly inside
     (0, sample_rate/2).  Raises :class:`InfeasibleError` with the best
     achievable error when nothing fits.
     """
     targets = [float(t) for t in targets]
+    tol = _tolerance(tol)
     if not (math.isfinite(sample_rate) and sample_rate > 0):
         raise OutOfRangeError(f"sample_rate must be positive and finite, got {sample_rate}")
     if not targets:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Direction, NormalizationMode, OpCounter, RicPlan, correction_factor
+from .core import Direction, NormalizationMode, OpCounter, RicPlan, _tolerance, correction_factor
 from .engine import dft_direct, transform
 from .fold import fold
 
@@ -101,7 +101,11 @@ class VerificationReport:
 
 
 def compare_values(got, oracle, tolerance: float = 1e-9) -> VerificationReport:
-    """Normwise comparison: max abs difference over the oracle's max magnitude."""
+    """Normwise comparison: max abs difference over the oracle's max magnitude.
+
+    A negative or non-finite tolerance raises OutOfRangeError.
+    """
+    tolerance = _tolerance(tolerance)
     got = np.asarray(got, dtype=np.complex128)
     oracle = np.asarray(oracle, dtype=np.complex128)
     max_abs = float(np.max(np.abs(got - oracle)))

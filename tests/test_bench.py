@@ -7,7 +7,7 @@ from ricdft import BenchConfig, ConfigError, emit_report, run_benchmark
 
 
 def small_config(**overrides):
-    base = dict(n_list=(16,), c_policy="pow2", trials=3, seed=7, warmup=1)
+    base = dict(n_list=(16,), c_policy="pow2", trials=3, seed=7)
     base.update(overrides)
     return BenchConfig(**base)
 

@@ -195,7 +195,11 @@ def test_usage_error_exit_code():
     (["plan", "--sample-rate", "800", "--targets", "100,x", "--max-n", "64"], 2),
     (["synth", "--n", "16", "--tone", "2:nan", "--out", "{tmp}/t.csv"], 2),
     (["dft", "--in", "{tmp}/x.csv", "--out", "{tmp}/s.csv", "--n", "16", "--c", "4"], 2),
-], ids=["bench-bad-list", "plan-bad-target", "synth-nan-amp", "dft-wrong-length"])
+    (["verify", "--random", "--n", "16", "--c", "4", "--tol", "nan"], 2),
+    (["verify", "--random", "--n", "16", "--c", "4", "--tol", "-1"], 2),
+    (["plan", "--sample-rate", "800", "--targets", "100", "--max-n", "64", "--tol", "nan"], 2),
+], ids=["bench-bad-list", "plan-bad-target", "synth-nan-amp", "dft-wrong-length",
+        "verify-nan-tol", "verify-negative-tol", "plan-nan-tol"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, code):
     write_signal(GOLDEN_X, tmp_path / "x.csv")  # 8 samples: wrong length for n = 16
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ricdft.__file__)))

@@ -3,11 +3,13 @@ import cmath
 import numpy as np
 import pytest
 
+from ricdft import engine
 from ricdft import (
     Direction,
     NormalizationMode,
     NotPowerOfTwoError,
     OpCounter,
+    SequenceError,
     dft_direct,
     fft_radix2,
     make_plan,
@@ -82,6 +84,61 @@ def test_fft_equals_direct_all_pow2_lengths():
         scale = max(1.0, float(np.max(np.abs(want))))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * scale)
         n *= 2
+
+
+# np.fft norm arguments giving the same scaling as each (direction, mode)
+NUMPY = {
+    (F, NONE): (np.fft.fft, "backward"),
+    (F, RECIP): (np.fft.fft, "backward"),
+    (F, UNITARY): (np.fft.fft, "ortho"),
+    (I, NONE): (np.fft.ifft, "forward"),
+    (I, RECIP): (np.fft.ifft, "backward"),
+    (I, UNITARY): (np.fft.ifft, "ortho"),
+}
+
+
+@pytest.mark.parametrize("direction, mode", list(NUMPY), ids=lambda v: v.value)
+def test_fft_matches_numpy_every_pow2_length_to_2_17(direction, mode):
+    rng = np.random.default_rng(28)
+    numpy_fft, norm = NUMPY[direction, mode]
+    for q in range(18):
+        x = random_complex(rng, 1 << q)
+        want = numpy_fft(x, norm=norm)
+        err = np.max(np.abs(fft_radix2(x, direction, mode) - want)) / np.max(np.abs(want))
+        assert err <= 1e-12, (q, err)
+
+
+def test_fft_reads_only_the_table_of_its_length(monkeypatch):
+    monkeypatch.setattr(engine, "_tables", {})
+    x = random_complex(np.random.default_rng(30), 1024)
+    fft_radix2(x, F)
+    fft_radix2(x, I)
+    assert list(engine._tables) == [1024]
+
+
+@pytest.mark.parametrize("engine_fn", [fft_radix2, dft_direct, transform])
+def test_output_never_aliases_or_changes_input(engine_fn):
+    rng = np.random.default_rng(29)
+    base = random_complex(rng, 32)
+    for x in (base[:1], base[::2]):  # the m = 1 case and a strided complex128 view
+        before = base.copy()
+        for direction, mode in NUMPY:
+            out = engine_fn(x, direction, mode)
+            assert not np.shares_memory(out, base)
+            assert np.array_equal(base, before)
+
+
+@pytest.mark.parametrize("bad", [
+    np.complex128(1 + 1j),
+    np.ones((2, 4)),
+    np.array([], dtype=np.complex128),
+    np.array([1.0, np.nan, 0.0, 0.0]),
+    np.array([1.0, 0.0, np.inf]),
+    [[1, 2], [3]],
+], ids=["0-d", "2-d", "empty", "nan-pow2", "inf-not-pow2", "ragged"])
+def test_transform_rejects_bad_sequences(bad):
+    with pytest.raises(SequenceError):
+        transform(bad)
 
 
 def test_fft_rejects_non_power_of_two():

@@ -153,6 +153,14 @@ def test_synthesize_linearity():
     np.testing.assert_allclose(both, one + two, rtol=0, atol=1e-15)
 
 
+def test_synthesize_size_must_be_an_integer():
+    for n in (8.7, 8.0, True):
+        with pytest.raises(OutOfRangeError):
+            synthesize_tones(n, [(0, 1.0, 0.0)])
+    np.testing.assert_array_equal(synthesize_tones(np.int64(8), [(1, 1.0, 0.0)]),
+                                  synthesize_tones(8, [(1, 1.0, 0.0)]))
+
+
 def test_synthesize_bin_out_of_range():
     with pytest.raises(OutOfRangeError):
         synthesize_tones(8, [(8, 1.0, 0.0)])

@@ -58,6 +58,9 @@ def test_validation_errors():
         plan_for_frequencies(-1.0, [100.0], 64)
     with pytest.raises(OutOfRangeError):
         plan_for_frequencies(800.0, [100.0], 3)
+    for tol in (math.nan, math.inf, -1e-12):
+        with pytest.raises(OutOfRangeError):
+            plan_for_frequencies(800.0, [100.0], 64, tol=tol)
 
 
 def test_any_n_search_can_beat_powers_of_two():

@@ -6,6 +6,8 @@ from ricdft import (
     LengthMismatchError,
     NormalizationMode,
     OpCounter,
+    OutOfRangeError,
+    compare_values,
     correction_factor,
     dft_direct,
     fold,
@@ -209,6 +211,16 @@ def test_length_mismatch():
         ric_idft(np.zeros(7), plan, RECIP)
     with pytest.raises(LengthMismatchError):
         verify_against_oracle(np.zeros(4), plan)
+
+
+def test_tolerance_must_be_finite_and_non_negative():
+    x = np.ones(4)
+    assert compare_values(x, x, 0.0).passed
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(OutOfRangeError):
+            compare_values(x, x, tol)
+        with pytest.raises(OutOfRangeError):
+            verify_against_oracle(GOLDEN_X, make_plan(8, 4), tolerance=tol)
 
 
 def test_entries_view():
