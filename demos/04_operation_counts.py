@@ -28,8 +28,9 @@ for row in report.rows:
 
 # Multiplications come only from the c-point transform, so their count
 # grows with c; pick the smallest c whose retained grid covers your needs.
-# Wall time diverges from the count at tiny c, where the fold's long row
-# loop dominates.  The square plan l = c = 32 sits in the middle:
+# Wall time follows the count only loosely at this n: the fold is two
+# vectorized passes for every c, so per-call overhead weighs as much as
+# the additions.  The square plan l = c = 32 sits in the middle:
 ric_rows = {r.c: r for r in report.rows if r.method == "ric"}
 full_mults = next(r.complex_mults for r in report.rows if r.method == "full")
 square = ric_rows[32]

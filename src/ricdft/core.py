@@ -215,6 +215,10 @@ def as_complex_sequence(x) -> np.ndarray:
     Rejects input that does not convert, has other than one dimension, is
     empty or holds NaN/Inf samples.
     """
+    return _finite(_complex_array(x))
+
+
+def _complex_array(x) -> np.ndarray:
     try:
         arr = np.asarray(x, dtype=np.complex128)
     except (TypeError, ValueError) as exc:
@@ -223,6 +227,10 @@ def as_complex_sequence(x) -> np.ndarray:
         raise SequenceError(f"expected a 1-d sequence, got shape {arr.shape}")
     if arr.size < 1:
         raise SequenceError("sequence must hold at least one sample")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise SequenceError("sequence contains non-finite samples")
+    return arr
+
+
+def _finite(arr: np.ndarray, what: str = "sequence") -> np.ndarray:
+    if not np.all(np.isfinite(arr)):  # complex: both parts finite
+        raise SequenceError(f"non-finite values in the {what}")
     return arr

@@ -4,15 +4,16 @@ Viewing an n-point sequence as an l x c rectangle (row-major, sample
 row*c + col in column col), the fold adds the l entries of each column,
 costing c*(l-1) complex additions and no multiplications.  The c-point
 result carries the full information of the original sequence's transform
-at index multiples of l.  The same kernel serves both directions: a
-time-domain signal on the forward path and a spectrum on the inverse path.
+at index multiples of l, for a signal (forward) or a spectrum (inverse).
+Folds compose (n -> w -> c is the n -> c fold when c | w | n), so the
+kernel first folds a near-square rectangle, adding few long rows per pass.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LengthMismatchError, OpCounter, RicPlan, as_complex_sequence
+from .core import LengthMismatchError, OpCounter, RicPlan, _complex_array, _finite
 
 
 @dataclass(frozen=True)
@@ -27,16 +28,20 @@ def fold(x, plan: RicPlan, counter: OpCounter | None = None) -> FoldedSequence:
     """Fold an n-point signal or spectrum down to c column sums.
 
     output[col] = sum over row of x[row*c + col], for col in [0, c-1].
-    Validates x (see :func:`ricdft.core.as_complex_sequence`) and its length.
+    Halves l and doubles the width w (first c) while l is even and l > w,
+    sums the l' x w columns, then folds those w sums to c: a fixed order,
+    not by ascending row.  NaN/Inf (or overflow) is sought in the c sums.
     """
-    x = as_complex_sequence(x)
+    x = _complex_array(x)
     if len(x) != plan.n:
         raise LengthMismatchError(f"sequence has {len(x)} samples, plan expects {plan.n}")
-    rows = x.reshape(plan.l, plan.c)
-    # Accumulate in ascending row order; keeps results bit-reproducible.
-    out = rows[0].copy()
-    for l in range(1, plan.l):
-        out += rows[l]
+    l, w = plan.l, plan.c
+    while l % 2 == 0 and l > w:
+        l, w = l // 2, w * 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.add.reduce(x.reshape(l, w), axis=0)
+        out = np.add.reduce(out.reshape(w // plan.c, plan.c), axis=0)
+    _finite(out, "sequence, or a column sum overflows")
     if counter is not None:
         counter.add(plan.c * (plan.l - 1))
     return FoldedSequence(samples=out, plan=plan)

@@ -133,8 +133,9 @@ def verify_against_oracle(
 
     Both paths are evaluated at the retained indices k*L; the relative
     error is measured against the max magnitude of the direct values.
-    Passes iff max_rel_error <= tolerance.
+    Passes iff max_rel_error <= tolerance; a bad tolerance raises first.
     """
+    tolerance = _tolerance(tolerance)
     got = _ric(x, plan, direction, mode, None).values
     oracle = dft_direct(x, direction, mode)[ric_index_set(plan)]
     return compare_values(got, oracle, tolerance)

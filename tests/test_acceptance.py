@@ -209,6 +209,36 @@ def test_criterion_7_performance_direction():
             f"mult ratio={mult_ratio:.0f}x, {elapsed:.1f}s)")
 
 
+def test_criterion_10_faster_than_npfft_for_every_c():
+    # against the strongest baseline available: pocketfft on the full signal,
+    # then slicing.  Asserted for c <= 2^14; above that the c-point radix-2
+    # engine's share grows and the ratio is only printed.
+    t0 = time.perf_counter()
+    n, asserted_max_c = 2 ** 18, 2 ** 14
+    rng = np.random.default_rng(10000)
+    x = random_complex(rng, n)
+    slow, ratios = [], []
+    for c in _pow2_cs(n):
+        plan = make_plan(n, c)
+        runs = (("ric", lambda: ric_dft(x, plan)), ("npfft", lambda: np.fft.fft(x)[:: plan.l]))
+        times = {"ric": [], "npfft": []}
+        for _, fn in runs:  # warm-up, also fills twiddle caches
+            fn()
+        for _ in range(5):
+            for name, fn in runs:
+                start = time.perf_counter_ns()
+                fn()
+                times[name].append(time.perf_counter_ns() - start)
+        ratio = statistics.median(times["npfft"]) / statistics.median(times["ric"])
+        ratios.append(f"c=2^{c.bit_length() - 1}: {ratio:.2f}x")
+        if c <= asserted_max_c and ratio <= 1.0:
+            slow.append(c)
+    elapsed = time.perf_counter() - t0
+    print("[criterion 10] np.fft time / ric_dft time: " + ", ".join(ratios))
+    _report(10, "ric_dft beats np.fft.fft(x)[::l] at n = 2^18 for every c <= 2^14",
+            not slow and elapsed < 60.0, f" (slower at c = {slow or 'none'}, {elapsed:.1f}s)")
+
+
 def test_criterion_8_planner_optimality():
     t0 = time.perf_counter()
     rng = np.random.default_rng(8000)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ricdft
+import ricdft.cli
 from ricdft import read_signal, write_signal
 from ricdft.cli import main
 
@@ -130,6 +131,17 @@ def test_verify_random_and_perturb(capsys):
     assert run("verify", "--random", "--n", 64, "--c", 8, "--seed", 5,
                "--perturb", "1e-3") == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_checks_tolerance_before_any_transform(monkeypatch, capsys):
+    def transform(*args, **kwargs):
+        raise AssertionError("a transform ran before the tolerance was checked")
+
+    monkeypatch.setattr(ricdft.cli, "dft_direct", transform)
+    monkeypatch.setattr(ricdft.cli, "_ric", transform)
+    for extra in ((), ("--perturb", "1e-3")):
+        assert run("verify", "--random", "--n", 64, "--c", 8, "--tol", "nan", *extra) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_zeros(tmp_path):

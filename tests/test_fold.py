@@ -1,7 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
-from ricdft import LengthMismatchError, OpCounter, fold, fold_spectrum, make_plan
+from ricdft import (
+    LengthMismatchError,
+    OpCounter,
+    SequenceError,
+    fold,
+    fold_spectrum,
+    make_plan,
+    ric_dft,
+    ric_idft,
+)
 
 from helpers import GOLDEN_FOLD, GOLDEN_X, divisor_pairs, naive_fold, random_complex
 
@@ -26,12 +37,25 @@ def test_fold_zeros_and_impulse():
 
 
 def test_fold_matches_double_loop_oracle():
+    # every shape the two-pass kernel can take: odd l, prime c, l = 2, and
+    # depths that are halved once, several times or not at all
     rng = np.random.default_rng(11)
-    for n in (8, 12, 24, 30, 64):
-        for c, _ in divisor_pairs(n):
-            x = random_complex(rng, n)
-            got = fold(x, make_plan(n, c)).samples
-            np.testing.assert_allclose(got, naive_fold(x, n, c), rtol=0, atol=1e-12)
+    for n in (8, 12, 24, 30, 45, 60, 64, 6720, 2 ** 16):
+        for c, l in divisor_pairs(n):
+            plan = make_plan(n, c)
+            ints = random_complex(rng, n, integer=True)
+            assert np.array_equal(fold(ints, plan).samples, naive_fold(ints, n, c)), (n, c)
+            # a stride-2 view: the kernel must not assume contiguous input
+            x = random_complex(rng, 2 * n)[::2]
+            ctr = OpCounter()
+            got = fold(x, plan, ctr).samples
+            scale = np.abs(x.reshape(l, c)).sum(axis=0)  # both sums are inexact
+            assert np.all(np.abs(got - naive_fold(x, n, c)) <= 1e-12 * scale), (n, c)
+            assert (ctr.complex_adds, ctr.complex_mults) == (c * (l - 1), 0)
+            # the output is fresh: writing to it leaves x untouched
+            before = x.copy()
+            got[:] = 7.0
+            assert np.array_equal(x, before)
 
 
 def test_fold_spectrum_same_kernel():
@@ -110,9 +134,56 @@ def test_fold_length_mismatch():
         fold_spectrum(np.zeros(9), plan)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fold_rejects_non_finite():
-    plan = make_plan(8, 4)
-    bad = np.zeros(8, dtype=np.complex128)
-    bad[3] = complex("nan")
-    with pytest.raises(ValueError):
-        fold(bad, plan)
+    # finiteness is checked on the c column sums; every NaN/Inf must reach
+    # them, and a rejected input raises the typed error and no numpy warning
+    n = 24
+    cases = []
+    for bad in (math.nan, math.inf, -math.inf):
+        for part in ("real", "imag"):
+            for pos in range(n):
+                x = np.ones(n, dtype=np.complex128)
+                getattr(x, part)[pos] = bad
+                cases += [(x, c) for c, _ in divisor_pairs(n)]
+    for part in ("real", "imag"):  # +Inf and -Inf in the same column sum to NaN
+        x = np.zeros(n, dtype=np.complex128)
+        getattr(x, part)[[5, 5 + 6]] = math.inf, -math.inf
+        cases.append((x, 6))
+    cases.append((np.full(8, 1e308), 4))  # finite samples, overflowing sum
+    for x, c in cases:
+        plan = make_plan(len(x), c)
+        for fn in (fold, ric_dft, ric_idft):
+            with pytest.raises(SequenceError):
+                fn(x, plan)
+
+
+def _pass_lengths(l, c):
+    # the two pass lengths of fold's kernel: l' rows of width w, then w/c rows
+    w = c
+    while l % 2 == 0 and l > w:
+        l, w = l // 2, w * 2
+    return l, w // c
+
+
+@pytest.mark.parametrize("kind", ["random", "cancelling"])
+def test_fold_error_against_fsum(kind):
+    # recursive summation over each pass: |error| <= (l' + w/c) u sum|x_col|
+    n = 2 ** 18
+    rng = np.random.default_rng(17)
+    x = random_complex(rng, n)
+    if kind == "cancelling":
+        # +v at i and -v at i + n/2 (|v| ~ 1e8), in the same column for every c,
+        # under O(1) noise: column sums are tiny next to sum|x_col|
+        v = 1e8 * (rng.uniform(1, 2, n // 2) + 1j * rng.uniform(1, 2, n // 2))
+        x = x + np.concatenate([v, -v])
+    for q in range(1, 18):
+        l = 2 ** q
+        c = n // l
+        got = fold(x, make_plan(n, c)).samples
+        cols = x.reshape(l, c).T
+        exact = np.array([complex(math.fsum(re), math.fsum(im))
+                          for re, im in zip(cols.real.tolist(), cols.imag.tolist())])
+        l1, l2 = _pass_lengths(l, c)
+        bound = (l1 + l2) * 2.0 ** -53 * np.abs(cols).sum(axis=1)
+        assert np.all(np.abs(got - exact) <= bound), (kind, l)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ricdft.ric
 from ricdft import (
     Direction,
     LengthMismatchError,
@@ -221,6 +222,15 @@ def test_tolerance_must_be_finite_and_non_negative():
             compare_values(x, x, tol)
         with pytest.raises(OutOfRangeError):
             verify_against_oracle(GOLDEN_X, make_plan(8, 4), tolerance=tol)
+
+
+def test_tolerance_checked_before_the_oracle(monkeypatch):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the tolerance was checked")
+
+    monkeypatch.setattr(ricdft.ric, "dft_direct", oracle)
+    with pytest.raises(OutOfRangeError):
+        verify_against_oracle(GOLDEN_X, make_plan(8, 4), tolerance=float("nan"))
 
 
 def test_entries_view():
