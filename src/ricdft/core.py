@@ -74,6 +74,16 @@ def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
+def _member(kind, value):
+    """The member of enum ``kind`` that is ``value`` or has it as its value."""
+    if isinstance(value, kind):
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        raise OutOfRangeError(f"unknown {kind.__name__} {value!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Plans
 # ---------------------------------------------------------------------------
@@ -83,21 +93,38 @@ class RicPlan:
     """A validated factorization n = l * c.
 
     ``c`` is the compressed length (number of retained coefficients), ``l``
-    the fold depth.  ``q`` and ``p`` hold log2(n) and log2(c) when both n
-    and c are powers of two, else None.
+    the fold depth.  Requires integer sizes (Python or numpy integers, not
+    bool), n >= 4, 2 <= c <= n/2 and c a divisor of n, checked in that
+    order.  ``q`` and ``p`` are log2(n) and log2(c) when both n and c are
+    powers of two, else None.
     """
 
     n: int
     c: int
-    l: int
-    q: int | None = None
-    p: int | None = None
 
     def __post_init__(self):
-        if self.l * self.c != self.n:
-            raise NonDivisorError(f"{self.l} * {self.c} != {self.n}")
-        if not (2 <= self.c <= self.n // 2):
-            raise OutOfRangeError(f"c={self.c} outside [2, {self.n // 2}] for n={self.n}")
+        n, c = _size("n", self.n), _size("c", self.c)
+        if n < 4:
+            raise OutOfRangeError(f"n={n} is too short to fold; need n >= 4")
+        if not (2 <= c <= n // 2):
+            raise OutOfRangeError(f"c={c} outside [2, {n // 2}] for n={n}")
+        if n % c != 0:
+            raise NonDivisorError(f"c={c} does not divide n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "c", c)
+
+    @property
+    def l(self) -> int:
+        return self.n // self.c
+
+    @property
+    def q(self) -> int | None:
+        return None if self.p is None else self.n.bit_length() - 1
+
+    @property
+    def p(self) -> int | None:
+        # a product of positive integers is a power of two iff each factor is
+        return self.c.bit_length() - 1 if is_power_of_two(self.n * self.c) else None
 
 
 def _size(name: str, value) -> int:
@@ -114,25 +141,8 @@ def _tolerance(tol) -> float:
 
 
 def make_plan(n: int, c: int) -> RicPlan:
-    """Build the plan folding an n-point sequence down to c points.
-
-    Requires integer sizes (Python or numpy integers, not bool), n >= 4,
-    c a divisor of n and 2 <= c <= n/2 (so the fold depth l = n/c is at
-    least 2).  The exponent view (q, p) is populated only when n and c are
-    both powers of two.
-    """
-    n, c = _size("n", n), _size("c", c)
-    if n < 4:
-        raise OutOfRangeError(f"n={n} is too short to fold; need n >= 4")
-    if not (2 <= c <= n // 2):
-        raise OutOfRangeError(f"c={c} outside [2, {n // 2}] for n={n}")
-    if n % c != 0:
-        raise NonDivisorError(f"c={c} does not divide n={n}")
-    q = p = None
-    if is_power_of_two(n) and is_power_of_two(c):
-        q = n.bit_length() - 1
-        p = c.bit_length() - 1
-    return RicPlan(n=n, c=c, l=n // c, q=q, p=p)
+    """Build the plan folding an n-point sequence down to c points: ``RicPlan(n, c)``."""
+    return RicPlan(n, c)
 
 
 def plan_from_exponents(q: int, p: int) -> RicPlan:
@@ -142,7 +152,7 @@ def plan_from_exponents(q: int, p: int) -> RicPlan:
         raise OutOfRangeError(f"q={q} must be at least 2")
     if not (1 <= p <= q - 1):
         raise OutOfRangeError(f"p={p} outside [1, {q - 1}]")
-    return make_plan(2 ** q, 2 ** p)
+    return RicPlan(2 ** q, 2 ** p)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +180,9 @@ def correction_factor(mode: NormalizationMode, direction: Direction, plan: RicPl
     the length, the bridge is that factor at length l: K = 1/l for the
     reciprocal convention ((1/l)(1/c) = 1/n), 1/sqrt(l) for the unitary one,
     and 1 for unscaled transforms.
+    ``mode`` and ``direction`` take a member or its string value.
     """
+    mode, direction = _member(NormalizationMode, mode), _member(Direction, direction)
     return _scale(mode, direction, plan.l)
 
 

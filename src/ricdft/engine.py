@@ -33,6 +33,7 @@ from .core import (
     NormalizationMode,
     NotPowerOfTwoError,
     OpCounter,
+    _member,
     _scale,
     as_complex_sequence,
     is_power_of_two,
@@ -73,8 +74,10 @@ def dft_direct(
     output[k] = scale * sum over n of x[n] * W_M**(-+ k*n), with the sign
     chosen by ``direction`` and the scale by ``mode``.  Valid for any
     length; this is the reference the fast paths are checked against.
+    ``direction`` and ``mode`` take a member or its string value.
     """
     x = as_complex_sequence(x)
+    direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
     m = len(x)
     table = twiddle_table(m)
     if direction is Direction.INVERSE:
@@ -106,6 +109,7 @@ def fft_radix2(
     output is a new array; x is never written.
     """
     x = as_complex_sequence(x)
+    direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
     m = len(x)
     if not is_power_of_two(m):
         raise NotPowerOfTwoError(f"length {m} is not a power of two")

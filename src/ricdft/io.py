@@ -2,9 +2,10 @@
 
 Two signal formats: ``csv`` holds one "re,im" decimal pair per line with
 an optional "re,im" header; ``raw-f64`` holds little-endian float64 pairs
-interleaved re,im with no header.  Decimal rendering uses Python's
-shortest round-trip repr, so csv round trips are exact and raw-f64 round
-trips are bit-exact.
+interleaved re,im with no header, which is the complex128 ("<c16") byte
+layout.  Decimal rendering uses Python's shortest round-trip repr, so csv
+round trips are exact; raw-f64 round trips are bit-exact, signed zeros
+included.  A format is a :class:`SignalFormat` member or its string value.
 """
 
 import json
@@ -13,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import OutOfRangeError, RicdftError, _size, as_complex_sequence
+from .core import OutOfRangeError, RicdftError, _member, _size, as_complex_sequence
 from .ric import RicSpectrum
 
 
@@ -31,17 +32,9 @@ class SignalFileError(RicdftError, ValueError):
         self.line = line
 
 
-def _fmt(value) -> SignalFormat:
-    try:
-        return SignalFormat(value)
-    except ValueError:
-        raise OutOfRangeError(f"unknown signal format {value!r}") from None
-
-
 def read_signal(path, fmt=SignalFormat.CSV) -> np.ndarray:
     """Read a complex sequence; samples come back in file order."""
-    fmt = _fmt(fmt)
-    if fmt is SignalFormat.CSV:
+    if _member(SignalFormat, fmt) is SignalFormat.CSV:
         return _read_csv(path)
     return _read_raw(path)
 
@@ -58,15 +51,10 @@ def _read_csv(path) -> np.ndarray:
             first_content = False
             if is_first and line.replace(" ", "").lower() == "re,im":
                 continue  # optional header, first content line only
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise SignalFileError(
-                    f"{path}: line {lineno}: expected 're,im', got {line!r}",
-                    path=path, line=lineno,
-                )
             try:
-                re, im = float(parts[0]), float(parts[1])
-            except ValueError:
+                re_text, im_text = line.split(",")
+                re, im = float(re_text), float(im_text)
+            except ValueError:  # other than two fields, or a bad number
                 raise SignalFileError(
                     f"{path}: line {lineno}: expected 're,im', got {line!r}",
                     path=path, line=lineno,
@@ -93,23 +81,19 @@ def _read_raw(path) -> np.ndarray:
         )
     if not np.all(np.isfinite(data)):
         raise SignalFileError(f"{path}: non-finite sample", path=path)
-    return data[0::2] + 1j * data[1::2]
+    return data.view("<c16")
 
 
 def write_signal(x, path, fmt=SignalFormat.CSV):
     """Write a complex sequence in the given format."""
     x = as_complex_sequence(x)
-    fmt = _fmt(fmt)
-    if fmt is SignalFormat.CSV:
+    if _member(SignalFormat, fmt) is SignalFormat.CSV:
         with open(path, "w", newline="") as fh:
             fh.write("re,im\n")
             for z in x:
                 fh.write(f"{float(z.real)!r},{float(z.imag)!r}\n")
     else:
-        interleaved = np.empty(2 * len(x), dtype="<f8")
-        interleaved[0::2] = x.real
-        interleaved[1::2] = x.imag
-        interleaved.tofile(path)
+        x.astype("<c16").tofile(path)
 
 
 def write_spectrum(spectrum: RicSpectrum, path, fmt="csv"):

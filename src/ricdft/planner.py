@@ -9,16 +9,15 @@ transform dominates the multiplication count) and sets n = 2c: it scans c
 over the powers of two, or over every integer with ``power_of_two_only``
 off, up to max_n/2.
 
-A bin's frequency k*fs/c is computed exactly and rounded to float once, so
-whether a target is hit depends on (c, k) alone and never on how the
-product was rounded.
+A bin's frequency k*fs/c is computed exactly, as a ratio of integers, and
+rounded to float once, so whether a target is hit depends on (c, k) alone
+and never on how the product was rounded.
 """
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import OutOfRangeError, RicdftError, RicPlan, _tolerance, make_plan
+from .core import OutOfRangeError, RicdftError, RicPlan, _size, _tolerance, make_plan
 
 
 @dataclass(frozen=True)
@@ -51,12 +50,13 @@ class InfeasibleError(RicdftError):
 
 def _assign(target: float, plan: RicPlan, sample_rate: float) -> Assignment:
     """Map target onto the nearest retained bin; ties go to the lower bin."""
-    fs = Fraction(sample_rate)
+    num, den = float(sample_rate).as_integer_ratio()  # fs = num/den
+    t_num, t_den = target.as_integer_ratio()
 
     def achieved(k: int) -> float:
-        return float(fs * k / plan.c)  # k*fs/c, rounded once
+        return (k * num) / (den * plan.c)  # k*fs/c; int/int division rounds once
 
-    lo = min(math.floor(Fraction(target) * plan.c / fs), plan.c - 1)
+    lo = min((t_num * den * plan.c) // (t_den * num), plan.c - 1)
     hi = min(lo + 1, plan.c - 1)
     k = hi if abs(achieved(hi) - target) < abs(achieved(lo) - target) else lo
     hz = achieved(k)
@@ -83,8 +83,9 @@ def plan_for_frequencies(
     Every target must sit within ``tol`` relative error of a retained bin
     (default 0: exact hits only); a negative or non-finite ``tol`` raises
     :class:`OutOfRangeError`.  Targets must lie strictly inside
-    (0, sample_rate/2).  Raises :class:`InfeasibleError` with the best
-    achievable error when nothing fits.
+    (0, sample_rate/2), and max_n is an integer size.  Raises
+    :class:`InfeasibleError` with the best achievable error when nothing
+    fits.  The scan is linear in max_n when ``power_of_two_only`` is off.
     """
     targets = [float(t) for t in targets]
     tol = _tolerance(tol)
@@ -95,12 +96,13 @@ def plan_for_frequencies(
     for t in targets:
         if not 0.0 < t < sample_rate / 2:
             raise OutOfRangeError(f"target {t} Hz outside (0, {sample_rate / 2}) Hz")
+    max_n = _size("max_n", max_n)
     if max_n < 4:
         raise OutOfRangeError(f"max_n={max_n} must be at least 4")
 
     best_err = float("inf")
     best_plan: RicPlan | None = None
-    for c in _candidate_cs(int(max_n), power_of_two_only):
+    for c in _candidate_cs(max_n, power_of_two_only):
         plan = make_plan(2 * c, c)
         assignments = tuple(_assign(t, plan, sample_rate) for t in targets)
         worst = max(a.rel_error for a in assignments)
@@ -132,7 +134,7 @@ def coverage_report(proposal: PlanProposal, extra_targets) -> list[Assignment]:
     rows = []
     for t in extra_targets:
         t = float(t)
-        if t < 0:
-            raise OutOfRangeError(f"target {t} Hz is negative")
+        if not 0 <= t < math.inf:
+            raise OutOfRangeError(f"target {t} Hz is negative or non-finite")
         rows.append(_assign(t, proposal.plan, proposal.sample_rate))
     return rows

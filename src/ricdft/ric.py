@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Direction, NormalizationMode, OpCounter, RicPlan, _tolerance, correction_factor
+from .core import (Direction, LengthMismatchError, NormalizationMode, OpCounter, RicPlan,
+                   _complex_array, _member, _tolerance, correction_factor)
 from .engine import dft_direct, transform
 from .fold import fold
 
@@ -51,8 +52,11 @@ def _ric(
 ) -> RicSpectrum:
     """Fold, transform at c points in ``direction``, then correct the scale.
 
-    :func:`fold` validates x and its length, once per call.
+    :func:`fold` validates x and its length, once per call.  ``direction``
+    and ``mode`` take a member or its string value; the spectrum records
+    the member.
     """
+    direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
     values = transform(fold(x, plan, counter).samples, direction, mode, counter)
     k = correction_factor(mode, direction, plan)
     if k != 1.0:
@@ -103,11 +107,14 @@ class VerificationReport:
 def compare_values(got, oracle, tolerance: float = 1e-9) -> VerificationReport:
     """Normwise comparison: max abs difference over the oracle's max magnitude.
 
-    A negative or non-finite tolerance raises OutOfRangeError.
+    A negative or non-finite tolerance raises OutOfRangeError; input that
+    is not a non-empty 1-d sequence raises SequenceError, and sequences of
+    different lengths raise LengthMismatchError.  NaN in ``got`` fails.
     """
     tolerance = _tolerance(tolerance)
-    got = np.asarray(got, dtype=np.complex128)
-    oracle = np.asarray(oracle, dtype=np.complex128)
+    got, oracle = _complex_array(got), _complex_array(oracle)
+    if got.shape != oracle.shape:
+        raise LengthMismatchError(f"got has {got.size} values, the oracle {oracle.size}")
     max_abs = float(np.max(np.abs(got - oracle)))
     denom = float(np.max(np.abs(oracle)))
     if denom > 0.0:
@@ -137,5 +144,9 @@ def verify_against_oracle(
     """
     tolerance = _tolerance(tolerance)
     got = _ric(x, plan, direction, mode, None).values
-    oracle = dft_direct(x, direction, mode)[ric_index_set(plan)]
-    return compare_values(got, oracle, tolerance)
+    return compare_values(got, _oracle(x, plan, direction, mode), tolerance)
+
+
+def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
+    """The retained coefficients by the definition: the full n-point direct transform."""
+    return dft_direct(x, direction, mode)[ric_index_set(plan)]

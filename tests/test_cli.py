@@ -137,7 +137,7 @@ def test_verify_checks_tolerance_before_any_transform(monkeypatch, capsys):
     def transform(*args, **kwargs):
         raise AssertionError("a transform ran before the tolerance was checked")
 
-    monkeypatch.setattr(ricdft.cli, "dft_direct", transform)
+    monkeypatch.setattr(ricdft.cli, "_oracle", transform)
     monkeypatch.setattr(ricdft.cli, "_ric", transform)
     for extra in ((), ("--perturb", "1e-3")):
         assert run("verify", "--random", "--n", 64, "--c", 8, "--tol", "nan", *extra) == 2

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ricdft import (
     NormalizationMode,
     OpCounter,
     OutOfRangeError,
+    RicPlan,
     SequenceError,
     as_complex_sequence,
     correction_factor,
@@ -47,6 +50,21 @@ def test_make_plan_errors():
         make_plan(16, 12)  # divides nothing anyway, but range fires first
     with pytest.raises(OutOfRangeError):
         make_plan(2, 2)
+
+
+def test_ric_plan_checks_itself():
+    assert RicPlan(8, 4) == make_plan(8, 4)
+    assert [f.name for f in dataclasses.fields(RicPlan)] == ["n", "c"]
+    for n, c in ((8.0, 4.0), (8, 4.0), (True, 2), (8, True), (16, 1), (16, 12), (16, 16), (2, 2)):
+        with pytest.raises(OutOfRangeError):
+            RicPlan(n, c)
+    with pytest.raises(NonDivisorError):
+        RicPlan(16, 5)
+    with pytest.raises(TypeError):
+        RicPlan(8, 4, 2)  # l, q and p are derived, never stored
+    plan = RicPlan(np.int64(24), np.int32(6))
+    assert (plan.n, plan.c, plan.l, plan.q, plan.p) == (24, 6, 4, None, None)
+    assert all(type(v) is int for v in (plan.n, plan.c, plan.l))
 
 
 def test_plan_from_exponents():

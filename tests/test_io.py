@@ -7,10 +7,12 @@ from ricdft import (
     NormalizationMode,
     OutOfRangeError,
     SignalFileError,
+    SignalFormat,
     dft_direct,
     make_plan,
     read_signal,
     ric_dft,
+    ric_idft,
     ric_index_set,
     synthesize_tones,
     write_signal,
@@ -43,6 +45,15 @@ def test_read_csv_malformed(tmp_path):
     with pytest.raises(SignalFileError) as excinfo:
         read_signal(path)
     assert excinfo.value.line == 2
+
+
+def test_read_csv_wrong_field_count(tmp_path):
+    path = tmp_path / "bad.csv"
+    for text, line in (("re,im\n1,2,3\n", 2), ("1,2\n\n3\n", 3)):
+        path.write_text(text)
+        with pytest.raises(SignalFileError) as excinfo:
+            read_signal(path)
+        assert excinfo.value.line == line
 
 
 def test_read_csv_empty(tmp_path):
@@ -78,6 +89,18 @@ def test_raw_round_trip_bit_exact(tmp_path):
     write_signal(x, path, "raw-f64")
     back = read_signal(path, "raw-f64")
     assert np.array_equal(back, x)  # bit-exact
+
+
+def test_raw_round_trip_keeps_signed_zeros(tmp_path):
+    x = np.zeros(4, dtype=np.complex128)
+    x.real = [0.0, -0.0, 0.0, -0.0]
+    x.imag = [0.0, 0.0, -0.0, -0.0]
+    path = tmp_path / "z.raw"
+    write_signal(x, path, SignalFormat.RAW_F64)
+    assert path.read_bytes() == x.astype("<c16").tobytes()
+    for fmt in ("raw-f64", SignalFormat.RAW_F64):
+        back = read_signal(path, fmt)
+        assert back.tobytes() == x.astype("<c16").tobytes()
 
 
 def test_csv_round_trip(tmp_path):
@@ -119,6 +142,14 @@ def test_write_spectrum_json(tmp_path):
     assert [e["k"] for e in doc["entries"]] == [0, 1, 2, 3]
     got = [complex(e["re"], e["im"]) for e in doc["entries"]]
     np.testing.assert_allclose(got, spectrum.values, rtol=0, atol=0)
+
+
+def test_write_spectrum_json_from_string_arguments(tmp_path):
+    spectrum = ric_idft(GOLDEN_X, make_plan(8, 4), "unitary")
+    path = tmp_path / "spec.json"
+    write_spectrum(spectrum, path, "json")
+    header = json.loads(path.read_text())["header"]
+    assert header == {"n": 8, "c": 4, "l": 2, "mode": "unitary", "direction": "inverse"}
 
 
 def test_write_spectrum_bad_path(tmp_path):

@@ -142,6 +142,20 @@ def test_coverage_report_rows():
     assert rows[0].bin_index == 0 and rows[0].rel_error == 0.0
 
 
+def test_max_n_must_be_an_integer_size():
+    for max_n in (math.nan, math.inf, 4.5, 64.0, True):
+        with pytest.raises(OutOfRangeError):
+            plan_for_frequencies(800.0, [100.0], max_n)
+    assert plan_for_frequencies(800.0, [100.0], np.int64(64)) == plan_for_frequencies(800.0, [100.0], 64)
+
+
+def test_coverage_report_rejects_non_finite_targets():
+    proposal = plan_for_frequencies(800.0, [100.0], 64)
+    for t in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(OutOfRangeError):
+            coverage_report(proposal, [t])
+
+
 def test_coverage_report_matches_linear_scan():
     proposal = plan_for_frequencies(800.0, [100.0], 64)
     plan = proposal.plan

@@ -8,9 +8,11 @@ from ricdft import (
     NormalizationMode,
     OpCounter,
     OutOfRangeError,
+    SequenceError,
     compare_values,
     correction_factor,
     dft_direct,
+    fft_radix2,
     fold,
     make_plan,
     ric_dft,
@@ -231,6 +233,56 @@ def test_tolerance_checked_before_the_oracle(monkeypatch):
     monkeypatch.setattr(ricdft.ric, "dft_direct", oracle)
     with pytest.raises(OutOfRangeError):
         verify_against_oracle(GOLDEN_X, make_plan(8, 4), tolerance=float("nan"))
+
+
+@pytest.mark.parametrize("mode", (NONE, RECIP, UNITARY))
+@pytest.mark.parametrize("direction", (F, I))
+def test_string_values_act_as_members(direction, mode):
+    x = random_complex(np.random.default_rng(7), 16)
+    plan = make_plan(16, 4)
+    calls = {
+        "ric_dft": lambda d, m: ric_dft(x, plan, m).values,
+        "ric_idft": lambda d, m: ric_idft(x, plan, m).values,
+        "transform radix-2": lambda d, m: transform(x[:8], d, m),
+        "transform direct": lambda d, m: transform(x[:6], d, m),
+        "dft_direct": lambda d, m: dft_direct(x, d, m),
+        "fft_radix2": lambda d, m: fft_radix2(x, d, m),
+        "correction_factor": lambda d, m: np.float64(correction_factor(m, d, plan)),
+    }
+    for name, call in calls.items():
+        assert call(direction.value, mode.value).tobytes() == call(direction, mode).tobytes(), name
+    assert (verify_against_oracle(x, plan, mode.value, direction.value)
+            == verify_against_oracle(x, plan, mode, direction))
+    spectrum = ricdft.ric._ric(x, plan, direction.value, mode.value, None)
+    assert spectrum.direction is direction and spectrum.mode is mode
+
+
+def test_unknown_direction_or_mode_raises():
+    x, plan = GOLDEN_X, make_plan(8, 4)
+    calls = (
+        lambda: ric_dft(x, plan, "bogus"),
+        lambda: ric_idft(x, plan, "bogus"),
+        lambda: transform(x, "bogus"),
+        lambda: transform(x[:6], F, "bogus"),
+        lambda: dft_direct(x, "bogus"),
+        lambda: fft_radix2(x, F, "bogus"),
+        lambda: correction_factor("bogus", F, plan),
+        lambda: correction_factor(NONE, "bogus", plan),
+        lambda: verify_against_oracle(x, plan, "bogus"),
+        lambda: verify_against_oracle(x, plan, NONE, "bogus"),
+    )
+    for call in calls:
+        with pytest.raises(OutOfRangeError):
+            call()
+
+
+def test_compare_values_rejects_mismatched_input():
+    with pytest.raises(LengthMismatchError):
+        compare_values([0], [1, 2, 3])
+    for got, oracle in (([], []), ([[1, 2]], [[1, 2]]), (1.0, 1.0), ([1], [])):
+        with pytest.raises(SequenceError):
+            compare_values(got, oracle)
+    assert not compare_values([np.nan, 1], [1, 1]).passed
 
 
 def test_entries_view():
