@@ -18,14 +18,15 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .core import Direction, NormalizationMode, OpCounter, RicdftError, make_plan
+from .core import Direction, NormalizationMode, OpCounter, RicdftError, RicPlan, _size
 from .engine import dft_direct, transform
 from .ric import compare_values, ric_dft, ric_index_set
 
 COUNT_NOTE = (
-    "direct engine counts every twiddle product (m*m mults, m*(m-1) adds); "
-    "radix-2 engine counts one mult and two adds per butterfly, trivial "
-    "twiddles included; fold counts c*(l-1) adds and no mults"
+    "ric and full count the closed form of the reference engine for each "
+    "transform length m: direct counts every twiddle product (m*m mults, "
+    "m*(m-1) adds), radix-2 (m a power of two) one mult and two adds per "
+    "butterfly, trivial twiddles included; fold counts c*(l-1) adds and no mults"
 )
 _WARMUP = 1  # discarded runs before each method's timed trials
 
@@ -65,25 +66,21 @@ class BenchReport:
     note: str = COUNT_NOTE
 
 
-def _cs_for(n: int, config: BenchConfig) -> list[int]:
+def _plans_for(n: int, config: BenchConfig) -> list[RicPlan]:
+    """The grid's plans at n; RicPlan rejects any c it cannot fold to."""
     if config.c_policy == "explicit":
         if not config.c_list:
             raise ConfigError("c_policy 'explicit' needs a non-empty c_list")
-        for c in config.c_list:
-            if n % c != 0 or not 2 <= c <= n // 2:
-                raise ConfigError(f"c={c} is not a valid compressed length for n={n}")
-        return sorted(int(c) for c in config.c_list)
-    if config.c_policy == "all":
-        return [c for c in range(2, n // 2 + 1) if n % c == 0]
-    if config.c_policy == "pow2":
-        cs = []
-        c = 2
-        while c <= n // 2:
-            if n % c == 0:
-                cs.append(c)
-            c *= 2
-        return cs
-    raise ConfigError(f"unknown c_policy {config.c_policy!r}")
+        cs = config.c_list
+    elif config.c_policy == "all":
+        cs = [c for c in range(2, n // 2 + 1) if n % c == 0]
+    elif config.c_policy == "pow2":
+        cs = [2 ** p for p in range(1, n.bit_length()) if n % 2 ** p == 0 and 2 ** p <= n // 2]
+    else:
+        raise ConfigError(f"unknown c_policy {config.c_policy!r}")
+    if not cs:
+        raise ConfigError(f"n={n} admits no valid compressed length under policy {config.c_policy!r}")
+    return sorted((RicPlan(n, c) for c in cs), key=lambda plan: plan.c)
 
 
 def _timed(fn, trials: int):
@@ -91,8 +88,6 @@ def _timed(fn, trials: int):
     for _ in range(_WARMUP):
         fn(OpCounter())
     times = []
-    out = None
-    counter = None
     for _ in range(trials):
         counter = OpCounter()
         t0 = time.perf_counter_ns()
@@ -107,15 +102,15 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         raise ConfigError("empty n grid")
     if config.trials < 1:
         raise ConfigError(f"trials={config.trials} must be at least 1")
+    try:  # the grid follows the plan rule: every bad size or c is a ConfigError
+        grid = {n: _plans_for(n, config) for n in sorted({_size("n", v) for v in config.n_list})}
+    except RicdftError as exc:
+        raise ConfigError(str(exc)) from None
     rows = []
-    for n in sorted(set(int(v) for v in config.n_list)):
-        cs = _cs_for(n, config)
-        if not cs:
-            raise ConfigError(f"n={n} admits no valid compressed length under policy {config.c_policy!r}")
+    for n, plans in grid.items():
         rng = np.random.default_rng((config.seed, n))
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        for c in cs:
-            plan = make_plan(n, c)
+        for plan in plans:
             idx = ric_index_set(plan)
 
             methods = [
@@ -133,7 +128,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             for name, out, counter, median_ns in cell:
                 rows.append(
                     BenchRow(
-                        n=n, c=c, l=plan.l, method=name,
+                        n=n, c=plan.c, l=plan.l, method=name,
                         complex_adds=counter.complex_adds,
                         complex_mults=counter.complex_mults,
                         wall_time_ns=median_ns, trials=config.trials,

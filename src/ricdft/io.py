@@ -71,17 +71,18 @@ def _read_csv(path) -> np.ndarray:
 
 
 def _read_raw(path) -> np.ndarray:
-    data = np.fromfile(path, dtype="<f8")
+    data = np.fromfile(path, dtype=np.uint8)
     if data.size == 0:
         raise SignalFileError(f"{path}: no samples", path=path)
-    if data.size % 2 != 0:
+    if data.size % 16 != 0:
         raise SignalFileError(
-            f"{path}: truncated sample pair at byte offset {(data.size - 1) * 8}",
+            f"{path}: {data.size} bytes is not a whole number of 16-byte samples",
             path=path,
         )
-    if not np.all(np.isfinite(data)):
+    data = data.view("<c16")
+    if not np.all(np.isfinite(data)):  # complex: both parts finite
         raise SignalFileError(f"{path}: non-finite sample", path=path)
-    return data.view("<c16")
+    return data
 
 
 def write_signal(x, path, fmt=SignalFormat.CSV):

@@ -3,9 +3,11 @@
 The forward path computes the n-point DFT values X[k*L] for k = 0..C-1 by
 transforming the c-point fold of the signal; the inverse path computes the
 n-point IDFT values x[n*L] the same way from a folded spectrum; both are
-one pipeline parameterized by direction.  A c-point engine normalizes by c
-rather than n, so a correction factor K in {1, 1/L, 1/sqrt(L)} restores the
-requested convention (see :func:`ricdft.core.correction_factor`).
+one pipeline parameterized by direction: fold, then
+:func:`ricdft.engine.transform` (``np.fft`` at any c), then the correction.
+A c-point transform normalizes by c rather than n, so a correction factor
+K in {1, 1/L, 1/sqrt(L)} restores the requested convention (see
+:func:`ricdft.core.correction_factor`).
 
 :func:`verify_against_oracle` re-derives the same coefficients through the
 full n-point direct transform and reports the disagreement, which is the

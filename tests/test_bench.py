@@ -74,6 +74,10 @@ def test_config_errors():
         run_benchmark(small_config(c_policy="explicit", c_list=(5,)))
     with pytest.raises(ConfigError):
         run_benchmark(small_config(c_policy="nonsense"))
+    with pytest.raises(ConfigError):
+        run_benchmark(small_config(n_list=(16.5,), trials=1))  # not an integer size
+    with pytest.raises(ConfigError):
+        run_benchmark(small_config(c_policy="explicit", c_list=(4.0,)))
 
 
 def test_emit_csv_round_trip(tmp_path):

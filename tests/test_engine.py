@@ -12,6 +12,7 @@ from ricdft import (
     SequenceError,
     dft_direct,
     fft_radix2,
+    is_power_of_two,
     make_plan,
     transform,
     twiddle_table,
@@ -146,14 +147,30 @@ def test_fft_rejects_non_power_of_two():
         fft_radix2(np.zeros(12))
 
 
-def test_transform_dispatch():
+# the c values of the acceptance criterion 3 grid, plus lengths with odd factors
+TRANSFORM_LENGTHS = [2 ** q for q in range(1, 12)] + [3, 6, 12, 24, 3000]
+
+
+def test_transform_is_one_path_with_reference_counts():
     rng = np.random.default_rng(24)
-    x4 = random_complex(rng, 4)
-    x12 = random_complex(rng, 12)
-    np.testing.assert_array_equal(transform(x4), fft_radix2(x4))
-    np.testing.assert_array_equal(transform(x12), dft_direct(x12))
     z = np.array([1 + 2j])
-    np.testing.assert_array_equal(transform(z), z)
+    for direction, mode in NUMPY:
+        np.testing.assert_array_equal(transform(z, direction, mode), z)
+    for m in TRANSFORM_LENGTHS:
+        x = random_complex(rng, m)
+        for direction, mode in NUMPY:
+            got_ctr, direct_ctr, radix2_ctr = OpCounter(), OpCounter(), OpCounter()
+            got = transform(x, direction, mode, got_ctr)
+            refs = [dft_direct(x, direction, mode, direct_ctr)]
+            if is_power_of_two(m):
+                refs.append(fft_radix2(x, direction, mode, radix2_ctr))
+            for ref in refs:
+                err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+                assert err <= 1e-12, (m, direction, mode, err)
+            # the counted engine that runs at this length, not the closed form again
+            want_ctr = radix2_ctr if is_power_of_two(m) else direct_ctr
+            assert (got_ctr.complex_adds, got_ctr.complex_mults) == (
+                want_ctr.complex_adds, want_ctr.complex_mults), (m, got_ctr, want_ctr)
 
 
 def test_round_trips():

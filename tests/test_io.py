@@ -80,6 +80,9 @@ def test_read_raw_truncated_and_empty(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(SignalFileError):
         read_signal(path, "raw-f64")
+    path.write_bytes(np.array([1.0, 2.0], dtype="<f8").tobytes() + b"\x00" * 4)
+    with pytest.raises(SignalFileError):  # one whole sample plus 4 stray bytes
+        read_signal(path, "raw-f64")
 
 
 def test_raw_round_trip_bit_exact(tmp_path):
