@@ -100,15 +100,15 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     """Run the grid; deterministic inputs derive from (seed, n)."""
     if not config.n_list:
         raise ConfigError("empty n grid")
-    if config.trials < 1:
-        raise ConfigError(f"trials={config.trials} must be at least 1")
-    try:  # the grid follows the plan rule: every bad size or c is a ConfigError
+    try:  # sizes and the grid follow the plan rule: every bad size, seed or c is a ConfigError
+        trials, seed = _size("trials", config.trials, 1), _size("seed", config.seed)
+        direct_limit = _size("direct_limit", config.direct_limit)
         grid = {n: _plans_for(n, config) for n in sorted({_size("n", v) for v in config.n_list})}
     except RicdftError as exc:
         raise ConfigError(str(exc)) from None
     rows = []
     for n, plans in grid.items():
-        rng = np.random.default_rng((config.seed, n))
+        rng = np.random.default_rng((seed, n))
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         for plan in plans:
             idx = ric_index_set(plan)
@@ -117,13 +117,13 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                 ("ric", lambda ctr: ric_dft(x, plan, NormalizationMode.NONE, ctr).values),
                 ("full", lambda ctr: transform(x, Direction.FORWARD, NormalizationMode.NONE, ctr)[idx]),
             ]
-            if n <= config.direct_limit:
+            if n <= direct_limit:
                 methods.append(
                     ("direct", lambda ctr: dft_direct(x, Direction.FORWARD, NormalizationMode.NONE, ctr)[idx])
                 )
 
-            cell = [(name,) + _timed(fn, config.trials) for name, fn in methods]
-            reference_name = "direct" if n <= config.direct_limit else "full"
+            cell = [(name,) + _timed(fn, trials) for name, fn in methods]
+            reference_name = "direct" if n <= direct_limit else "full"
             reference = next(out for name, out, _, _ in cell if name == reference_name)
             for name, out, counter, median_ns in cell:
                 rows.append(
@@ -131,12 +131,12 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                         n=n, c=plan.c, l=plan.l, method=name,
                         complex_adds=counter.complex_adds,
                         complex_mults=counter.complex_mults,
-                        wall_time_ns=median_ns, trials=config.trials,
+                        wall_time_ns=median_ns, trials=trials,
                         max_rel_error=compare_values(out, reference).max_rel_error,
                     )
                 )
     rows.sort(key=lambda r: (r.n, r.c, r.method))
-    return BenchReport(rows=tuple(rows), seed=config.seed, trials=config.trials)
+    return BenchReport(rows=tuple(rows), seed=seed, trials=trials)
 
 
 def emit_report(report: BenchReport, path, fmt="csv"):

@@ -12,7 +12,8 @@ import sys
 import numpy as np
 
 from .bench import BenchConfig, emit_report, run_benchmark
-from .core import Direction, NormalizationMode, OpCounter, RicdftError, _tolerance, make_plan, plan_from_exponents
+from .core import (Direction, NormalizationMode, OpCounter, RicdftError, _size, _tolerance, make_plan,
+                   plan_from_exponents)
 from .fold import fold
 from .io import SignalFileError, read_signal, synthesize_tones, write_signal, write_spectrum
 from .planner import InfeasibleError, plan_for_frequencies
@@ -121,9 +122,9 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     plan = _plan_from_args(args)
-    tol = _tolerance(args.tol)  # before the oracle's O(n^2) run
+    tol = _tolerance(args.tol)  # before the folded path and the O(n*c) oracle run
     if args.random:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(_size("seed", args.seed))
         x = rng.standard_normal(plan.n) + 1j * rng.standard_normal(plan.n)
     elif args.infile:
         x = read_signal(args.infile, args.in_format)

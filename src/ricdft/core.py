@@ -103,9 +103,7 @@ class RicPlan:
     c: int
 
     def __post_init__(self):
-        n, c = _size("n", self.n), _size("c", self.c)
-        if n < 4:
-            raise OutOfRangeError(f"n={n} is too short to fold; need n >= 4")
+        n, c = _size("n", self.n, 4), _size("c", self.c)
         if not (2 <= c <= n // 2):
             raise OutOfRangeError(f"c={c} outside [2, {n // 2}] for n={n}")
         if n % c != 0:
@@ -127,10 +125,12 @@ class RicPlan:
         return self.c.bit_length() - 1 if is_power_of_two(self.n * self.c) else None
 
 
-def _size(name: str, value) -> int:
+def _size(name: str, value, low: int = 0) -> int:
     # bool is an Integral subclass, but True is no length
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise OutOfRangeError(f"{name}={value!r} is not an integer size")
+    if value < low:
+        raise OutOfRangeError(f"{name}={value} must be at least {low}")
     return int(value)
 
 
@@ -147,9 +147,7 @@ def make_plan(n: int, c: int) -> RicPlan:
 
 def plan_from_exponents(q: int, p: int) -> RicPlan:
     """Build the power-of-two plan with n = 2**q and c = 2**p, p in [1, q-1]."""
-    q, p = _size("q", q), _size("p", p)
-    if q < 2:
-        raise OutOfRangeError(f"q={q} must be at least 2")
+    q, p = _size("q", q, 2), _size("p", p)
     if not (1 <= p <= q - 1):
         raise OutOfRangeError(f"p={p} outside [1, {q - 1}]")
     return RicPlan(2 ** q, 2 ** p)

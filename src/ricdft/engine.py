@@ -3,8 +3,9 @@
 :func:`transform`, the one path the pipeline, the CLI and the bench
 harness run, is numpy's pocketfft at every length.  Two hand-written
 engines share its contract and stay as the counted references the tests
-compare against: a direct quadratic DFT/IDFT for any length (also the
-oracle's engine) and a self-sorting radix-2 FFT for power-of-two lengths.
+compare against: a direct quadratic DFT/IDFT for any length, whose row
+kernel also gives the oracle its c retained rows, and a self-sorting
+radix-2 FFT for power-of-two lengths.
 
 Twiddle factors come from one cached table per length M, entry r holding
 W_M**(-r) = exp(-2j*pi*r/M).  Exponents are reduced modulo M in integer
@@ -32,16 +33,8 @@ applied by a normalization mode is not counted.
 
 import numpy as np
 
-from .core import (
-    Direction,
-    NormalizationMode,
-    NotPowerOfTwoError,
-    OpCounter,
-    _member,
-    _scale,
-    as_complex_sequence,
-    is_power_of_two,
-)
+from .core import (Direction, NormalizationMode, NotPowerOfTwoError, OpCounter, _member, _scale,
+                   as_complex_sequence, is_power_of_two)
 
 # Per-length tables of W_M**(-r) for r = 0..M-1, built once and then
 # read-shared.  Inverse-direction values are exact conjugates.
@@ -74,19 +67,30 @@ def dft_direct(
     x = as_complex_sequence(x)
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
     m = len(x)
-    table = twiddle_table(m)
-    if direction is Direction.INVERSE:
-        table = table.conj()
-    out = np.empty(m, dtype=np.complex128)
-    n_idx = np.arange(m, dtype=np.int64)
-    chunk = max(1, (1 << 21) // m)  # bound the k*n index block to ~16 MB
-    for k0 in range(0, m, chunk):
-        k_idx = np.arange(k0, min(k0 + chunk, m), dtype=np.int64)
-        out[k0 : k0 + len(k_idx)] = table[(k_idx[:, None] * n_idx) % m] @ x
+    out = _direct_rows(x, np.arange(m, dtype=np.int64), direction)
     if counter is not None:
         counter.mul(m * m)
         counter.add(m * (m - 1))
     return _scaled(out, direction, mode)
+
+
+def _direct_rows(x: np.ndarray, rows: np.ndarray, direction: Direction) -> np.ndarray:
+    """Unscaled sums over n of x[n] * W_M**(-+ k*n) at each row k in ``rows``.
+
+    x is a validated length-M sequence, ``rows`` int64 indices in [0, M)
+    and ``direction`` a member; the work is M products per row.
+    """
+    m = len(x)
+    table = twiddle_table(m)
+    if direction is Direction.INVERSE:
+        table = table.conj()
+    out = np.empty(len(rows), dtype=np.complex128)
+    n_idx = np.arange(m, dtype=np.int64)
+    chunk = max(1, (1 << 21) // m)  # bound the k*n index block to ~16 MB
+    for r0 in range(0, len(rows), chunk):
+        k_idx = rows[r0 : r0 + chunk]
+        out[r0 : r0 + len(k_idx)] = table[(k_idx[:, None] * n_idx) % m] @ x
+    return out
 
 
 def fft_radix2(

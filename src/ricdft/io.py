@@ -138,9 +138,7 @@ def synthesize_tones(n: int, tones) -> np.ndarray:
     in [0, n-1].  Bin*index products are reduced mod n before the angle is
     formed, keeping every sample accurate to machine precision.
     """
-    n = _size("n", n)
-    if n < 1:
-        raise OutOfRangeError(f"n={n} must be positive")
+    n = _size("n", n, 1)
     m = np.arange(n, dtype=np.int64)
     x = np.zeros(n, dtype=np.complex128)
     for bin_idx, amp, phase in tones:

@@ -96,9 +96,7 @@ def plan_for_frequencies(
     for t in targets:
         if not 0.0 < t < sample_rate / 2:
             raise OutOfRangeError(f"target {t} Hz outside (0, {sample_rate / 2}) Hz")
-    max_n = _size("max_n", max_n)
-    if max_n < 4:
-        raise OutOfRangeError(f"max_n={max_n} must be at least 4")
+    max_n = _size("max_n", max_n, 4)
 
     best_err = float("inf")
     best_plan: RicPlan | None = None

@@ -78,6 +78,10 @@ def test_config_errors():
         run_benchmark(small_config(n_list=(16.5,), trials=1))  # not an integer size
     with pytest.raises(ConfigError):
         run_benchmark(small_config(c_policy="explicit", c_list=(4.0,)))
+    # trials, seed and direct_limit follow the same integer size rule
+    for bad in (dict(seed=-1), dict(trials=2.5), dict(trials=True), dict(direct_limit="x")):
+        with pytest.raises(ConfigError):
+            run_benchmark(small_config(**bad))
 
 
 def test_emit_csv_round_trip(tmp_path):

@@ -210,8 +210,11 @@ def test_usage_error_exit_code():
     (["verify", "--random", "--n", "16", "--c", "4", "--tol", "nan"], 2),
     (["verify", "--random", "--n", "16", "--c", "4", "--tol", "-1"], 2),
     (["plan", "--sample-rate", "800", "--targets", "100", "--max-n", "64", "--tol", "nan"], 2),
+    (["verify", "--random", "--n", "16", "--c", "4", "--seed", "-1"], 2),
+    (["bench", "--n-list", "16", "--seed", "-1", "--out", "{tmp}/r.csv"], 2),
 ], ids=["bench-bad-list", "plan-bad-target", "synth-nan-amp", "dft-wrong-length",
-        "verify-nan-tol", "verify-negative-tol", "plan-nan-tol"])
+        "verify-nan-tol", "verify-negative-tol", "plan-nan-tol", "verify-negative-seed",
+        "bench-negative-seed"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, code):
     write_signal(GOLDEN_X, tmp_path / "x.csv")  # 8 samples: wrong length for n = 16
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ricdft.__file__)))

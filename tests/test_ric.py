@@ -228,11 +228,55 @@ def test_tolerance_must_be_finite_and_non_negative():
 
 def test_tolerance_checked_before_the_oracle(monkeypatch):
     def oracle(*args, **kwargs):
-        raise AssertionError("the oracle ran before the tolerance was checked")
+        raise AssertionError("a transform ran before the tolerance was checked")
 
-    monkeypatch.setattr(ricdft.ric, "dft_direct", oracle)
+    monkeypatch.setattr(ricdft.ric, "_oracle", oracle)
+    monkeypatch.setattr(ricdft.ric, "_ric", oracle)
     with pytest.raises(OutOfRangeError):
         verify_against_oracle(GOLDEN_X, make_plan(8, 4), tolerance=float("nan"))
+
+
+@pytest.mark.parametrize("n, cs", [(24, None), (60, None), (1024, None), (4096, (8, 64, 512))])
+def test_oracle_is_the_direct_transform_at_the_retained_rows(n, cs):
+    # the same row kernel and block loop as dft_direct, so equal bit for bit
+    x = random_complex(np.random.default_rng(n), n)
+    cs = cs or [c for c, _ in divisor_pairs(n)]
+    for direction in (F, I):
+        for mode in (NONE, RECIP, UNITARY):
+            full = dft_direct(x, direction, mode)
+            for c in cs:
+                plan = make_plan(n, c)
+                got = ricdft.ric._oracle(x, plan, direction, mode)
+                assert got.tobytes() == full[ric_index_set(plan)].tobytes(), (c, direction, mode)
+
+
+def test_oracle_is_independent_of_the_fast_path(monkeypatch):
+    x = random_complex(np.random.default_rng(39), 96)
+    plans = [make_plan(96, c) for c in (2, 12, 48)]
+    want = [ricdft.ric._oracle(x, plan, F, UNITARY) for plan in plans]
+
+    def fast_path(*args, **kwargs):
+        raise AssertionError("the oracle used the fold or the c-point transform")
+
+    monkeypatch.setattr(ricdft.ric, "fold", fast_path)
+    monkeypatch.setattr(ricdft.ric, "transform", fast_path)
+    for plan, values in zip(plans, want):
+        assert ricdft.ric._oracle(x, plan, F, UNITARY).tobytes() == values.tobytes()
+
+
+def test_oracle_rejects_a_sequence_of_the_wrong_length():
+    with pytest.raises(LengthMismatchError):
+        ricdft.ric._oracle(np.ones(12), make_plan(8, 4), F, NONE)
+
+
+@pytest.mark.parametrize("n, c", [(2 ** 16, 16), (24_000, 12)])
+def test_verify_against_oracle_at_realistic_n(n, c):
+    # the full direct transform needs n**2 (4.3e9 at n = 2**16) twiddle products, the oracle n*c
+    x = random_complex(np.random.default_rng(n), n)
+    plan = make_plan(n, c)
+    assert verify_against_oracle(x, plan).passed
+    oracle = ricdft.ric._oracle(x, plan, F, NONE)
+    assert compare_values(oracle, np.fft.fft(x)[:: plan.l], 1e-12).passed
 
 
 @pytest.mark.parametrize("mode", (NONE, RECIP, UNITARY))
