@@ -3,9 +3,11 @@ Inverse transforms and normalization corrections
 ================================================
 
 A c-point engine normalizes by c, but callers folding an n-point spectrum
-expect normalization by n = l*c.  The pipeline bridges the gap with a
-correction factor K: 1/l when the inverse carries 1/length, 1/sqrt(l)
-under the unitary convention, and 1 when nothing is scaled.
+expect normalization by n = l*c.  The pipeline therefore runs the c-point
+transform unscaled and scales once, at length n, as the direct oracle
+does.  The two lengths' scales differ by the correction factor K: 1/l when
+the inverse carries 1/length, 1/sqrt(l) under the unitary convention, and
+1 when nothing is scaled.
 """
 
 import numpy as np
@@ -32,11 +34,12 @@ bare = dft_direct(fold_spectrum(spectrum, plan).samples,
                   Direction.INVERSE, NormalizationMode.RECIPROCAL_N)
 print("\n4-point inverse with its own 1/4 scaling:", bare)
 
-# The caller wanted 1/8 scaling, so the pipeline multiplies by K = 1/l = 1/2:
+# The caller wanted 1/8 scaling: the bare inverse is off by K = 1/l = 1/2.
+# The pipeline never applies 1/4 at all; it scales the unscaled sums by 1/8.
 k = correction_factor(NormalizationMode.RECIPROCAL_N, Direction.INVERSE, plan)
-print(f"correction factor K = {k}")
+print(f"correction factor K = {k}; bare values * K:", bare * k)
 result = ric_idft(spectrum, plan, NormalizationMode.RECIPROCAL_N)
-print("corrected values:", result.values)
+print("pipeline values (scaled once by 1/8):", result.values)
 
 # Cross-check against the full 8-point inverse at indices 0, 2, 4, 6.
 full = dft_direct(spectrum, Direction.INVERSE, NormalizationMode.RECIPROCAL_N)

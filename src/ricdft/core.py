@@ -134,10 +134,17 @@ def _size(name: str, value, low: int = 0) -> int:
     return int(value)
 
 
+def _real(name: str, value, low: float = -math.inf) -> float:
+    # bool is a Real subclass, but True is no measurement
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise OutOfRangeError(f"{name}={value!r} is not a finite number")
+    if value < low:
+        raise OutOfRangeError(f"{name}={value} must be at least {low}")
+    return float(value)
+
+
 def _tolerance(tol) -> float:
-    if not (math.isfinite(tol) and tol >= 0):
-        raise OutOfRangeError(f"tolerance must be finite and non-negative, got {tol!r}")
-    return tol
+    return _real("tolerance", tol, 0.0)
 
 
 def make_plan(n: int, c: int) -> RicPlan:
@@ -154,7 +161,7 @@ def plan_from_exponents(q: int, p: int) -> RicPlan:
 
 
 # ---------------------------------------------------------------------------
-# Normalization correction
+# Normalization
 # ---------------------------------------------------------------------------
 
 def _scale(mode: NormalizationMode, direction: Direction, m: int) -> float:
@@ -171,13 +178,12 @@ def _scale(mode: NormalizationMode, direction: Direction, m: int) -> float:
 
 
 def correction_factor(mode: NormalizationMode, direction: Direction, plan: RicPlan) -> float:
-    """Scale K restoring the n-point normalization after a c-point transform.
+    """The factor K with scale_c * K = scale_n, the mode's scale at length l.
 
-    A c-point engine normalizes by c where the caller expects normalization
-    by n = l*c.  Since the scale factor of every mode is multiplicative in
-    the length, the bridge is that factor at length l: K = 1/l for the
-    reciprocal convention ((1/l)(1/c) = 1/n), 1/sqrt(l) for the unitary one,
-    and 1 for unscaled transforms.
+    Every mode's scale is multiplicative in the length, so a c-point
+    transform scaled for c becomes one scaled for n = l*c through K = 1/l
+    (reciprocal: (1/l)(1/c) = 1/n), 1/sqrt(l) (unitary) or 1 (unscaled).
+    The pipeline itself never scales at length c: it applies scale_n once.
     ``mode`` and ``direction`` take a member or its string value.
     """
     mode, direction = _member(NormalizationMode, mode), _member(Direction, direction)

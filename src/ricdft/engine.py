@@ -1,7 +1,7 @@
 """Transforms of the compressed sequences.
 
-:func:`transform`, the one path the pipeline, the CLI and the bench
-harness run, is numpy's pocketfft at every length.  Two hand-written
+:func:`transform` is numpy's pocketfft at every length; its unscaled
+core, ``_fft``, is what the pipeline runs on the c sums.  Two hand-written
 engines share its contract and stay as the counted references the tests
 compare against: a direct quadratic DFT/IDFT for any length, whose row
 kernel also gives the oracle its c retained rows, and a self-sorting
@@ -10,8 +10,9 @@ radix-2 FFT for power-of-two lengths.
 Twiddle factors come from one cached table per length M, entry r holding
 W_M**(-r) = exp(-2j*pi*r/M).  Exponents are reduced modulo M in integer
 arithmetic before the table is indexed, so W_M**a == W_M**(a mod M) holds
-exactly even for huge exponents.  Output scaling follows the rule in
-:mod:`ricdft.core` that also gives the pipeline's correction factor.
+exactly even for huge exponents.  Every path scales in one epilogue,
+``_scaled``, by the :mod:`ricdft.core` factor at a given length (n for
+the pipeline and the oracle, whose sums are c of n rows).
 
 The radix-2 engine is the self-sorting (Stockham) decimation-in-time
 form: column j of its R x K work array holds the R-point transform of
@@ -71,7 +72,7 @@ def dft_direct(
     if counter is not None:
         counter.mul(m * m)
         counter.add(m * (m - 1))
-    return _scaled(out, direction, mode)
+    return _scaled(out, direction, mode, m)
 
 
 def _direct_rows(x: np.ndarray, rows: np.ndarray, direction: Direction) -> np.ndarray:
@@ -124,7 +125,7 @@ def fft_radix2(
     y = y.reshape(m)
     if m == 1:
         y = y.copy()  # no stage ran, so y is still a view of x
-    return _scaled(y, direction, mode)
+    return _scaled(y, direction, mode, m)
 
 
 def transform(
@@ -139,6 +140,11 @@ def transform(
     """
     x = as_complex_sequence(x)
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
+    return _scaled(_fft(x, direction, counter), direction, mode, len(x))
+
+
+def _fft(x: np.ndarray, direction: Direction, counter: OpCounter | None) -> np.ndarray:
+    """Unscaled ``np.fft`` of a checked sequence, tallying its reference engine's closed form."""
     m = len(x)
     if direction is Direction.FORWARD:
         y = np.fft.fft(x)
@@ -148,12 +154,12 @@ def transform(
         pow2, stages = is_power_of_two(m), m.bit_length() - 1
         counter.mul((m // 2) * stages if pow2 else m * m)
         counter.add(m * stages if pow2 else m * (m - 1))
-    return _scaled(y, direction, mode)
+    return y
 
 
-def _scaled(y: np.ndarray, direction: Direction, mode: NormalizationMode) -> np.ndarray:
-    """y, a fresh array, scaled in place by the mode's factor at its length."""
-    s = _scale(mode, direction, len(y))
+def _scaled(y: np.ndarray, direction: Direction, mode: NormalizationMode, m: int) -> np.ndarray:
+    """y, a fresh array, scaled in place by the mode's factor at length m."""
+    s = _scale(mode, direction, m)
     if s != 1.0:
         y *= s
     return y

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import OutOfRangeError, RicdftError, _member, _size, as_complex_sequence
+from .core import OutOfRangeError, RicdftError, _member, _real, _size, as_complex_sequence
 from .ric import RicSpectrum
 
 
@@ -135,15 +135,16 @@ def synthesize_tones(n: int, tones) -> np.ndarray:
 
     n is an integer size (Python or numpy integer, not bool or float).
     ``tones`` is an iterable of (bin, amplitude, phase) with integer bins
-    in [0, n-1].  Bin*index products are reduced mod n before the angle is
-    formed, keeping every sample accurate to machine precision.
+    in [0, n-1] and finite amplitude and phase, else OutOfRangeError.  Bin*index
+    products are reduced mod n, keeping every sample accurate to machine precision.
     """
     n = _size("n", n, 1)
     m = np.arange(n, dtype=np.int64)
     x = np.zeros(n, dtype=np.complex128)
     for bin_idx, amp, phase in tones:
-        if int(bin_idx) != bin_idx or not 0 <= int(bin_idx) < n:
+        bin_idx, amp, phase = _size("tone bin", bin_idx), _real("amplitude", amp), _real("phase", phase)
+        if bin_idx >= n:
             raise OutOfRangeError(f"tone bin {bin_idx} outside [0, {n - 1}]")
-        angle = 2.0 * np.pi * ((int(bin_idx) * m) % n) / n + float(phase)
-        x += float(amp) * np.exp(1j * angle)
+        angle = 2.0 * np.pi * ((bin_idx * m) % n) / n + phase
+        x += amp * np.exp(1j * angle)
     return x

@@ -14,10 +14,9 @@ rounded to float once, so whether a target is hit depends on (c, k) alone
 and never on how the product was rounded.
 """
 
-import math
 from dataclasses import dataclass
 
-from .core import OutOfRangeError, RicdftError, RicPlan, _size, _tolerance, make_plan
+from .core import OutOfRangeError, RicdftError, RicPlan, _real, _size, _tolerance, make_plan
 
 
 @dataclass(frozen=True)
@@ -81,16 +80,17 @@ def plan_for_frequencies(
     """Return the plan with the smallest feasible c and n = 2c <= max_n.
 
     Every target must sit within ``tol`` relative error of a retained bin
-    (default 0: exact hits only); a negative or non-finite ``tol`` raises
-    :class:`OutOfRangeError`.  Targets must lie strictly inside
-    (0, sample_rate/2), and max_n is an integer size.  Raises
+    (default 0: exact hits only).  :class:`OutOfRangeError` unless ``tol``
+    is a finite non-negative number, sample_rate a finite positive one,
+    each target inside (0, sample_rate/2) and max_n an integer size.  Raises
     :class:`InfeasibleError` with the best achievable error when nothing
     fits.  The scan is linear in max_n when ``power_of_two_only`` is off.
     """
-    targets = [float(t) for t in targets]
+    targets = [_real("target", t) for t in targets]
     tol = _tolerance(tol)
-    if not (math.isfinite(sample_rate) and sample_rate > 0):
-        raise OutOfRangeError(f"sample_rate must be positive and finite, got {sample_rate}")
+    sample_rate = _real("sample_rate", sample_rate)
+    if sample_rate <= 0:
+        raise OutOfRangeError(f"sample_rate must be positive, got {sample_rate}")
     if not targets:
         raise OutOfRangeError("need at least one target frequency")
     for t in targets:
@@ -107,7 +107,7 @@ def plan_for_frequencies(
         if worst <= tol:
             return PlanProposal(
                 plan=plan,
-                sample_rate=float(sample_rate),
+                sample_rate=sample_rate,
                 bin_width=sample_rate / plan.n,
                 assignments=assignments,
             )
@@ -128,11 +128,9 @@ def coverage_report(proposal: PlanProposal, extra_targets) -> list[Assignment]:
     """Map extra frequencies onto the proposal's retained bins (read-only).
 
     Nearest retained bin wins; exact midpoints resolve to the lower bin.
+    A target that is negative or not a finite number raises OutOfRangeError.
     """
     rows = []
     for t in extra_targets:
-        t = float(t)
-        if not 0 <= t < math.inf:
-            raise OutOfRangeError(f"target {t} Hz is negative or non-finite")
-        rows.append(_assign(t, proposal.plan, proposal.sample_rate))
+        rows.append(_assign(_real("target", t, 0.0), proposal.plan, proposal.sample_rate))
     return rows

@@ -1,13 +1,13 @@
-"""End-to-end pipeline: fold, transform at c points, correct the scale.
+"""End-to-end pipeline: fold, one unscaled c-point FFT, one scale at length n.
 
 The forward path computes the n-point DFT values X[k*L] for k = 0..C-1 by
 transforming the c-point fold of the signal; the inverse path computes the
 n-point IDFT values x[n*L] the same way from a folded spectrum; both are
-one pipeline parameterized by direction: fold, then
-:func:`ricdft.engine.transform` (``np.fft`` at any c), then the correction.
-A c-point transform normalizes by c rather than n, so a correction factor
-K in {1, 1/L, 1/sqrt(L)} restores the requested convention (see
-:func:`ricdft.core.correction_factor`).
+one pipeline parameterized by direction: fold, an unscaled ``np.fft`` of
+the c sums, then one multiply by the mode's factor at length n, as the
+oracle does.  The unscaled c-point DFT of the fold is the unscaled n-point
+DFT at the retained indices, so nothing is scaled at length c
+(:func:`ricdft.core.correction_factor` relates the two lengths' scales).
 
 :func:`verify_against_oracle` re-derives the same coefficients from the
 definition at the c retained rows only, in O(n*c), and reports the
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Direction, LengthMismatchError, NormalizationMode, OpCounter, RicPlan,
-                   _complex_array, _member, _scale, _tolerance, as_complex_sequence,
-                   correction_factor)
-from .engine import _direct_rows, transform
+                   _complex_array, _member, _tolerance, as_complex_sequence)
+from .engine import _direct_rows, _fft, _scaled
 from .fold import fold
 
 
@@ -53,20 +52,17 @@ def _ric(
     mode: NormalizationMode,
     counter: OpCounter | None,
 ) -> RicSpectrum:
-    """Fold, transform at c points in ``direction``, then correct the scale.
+    """Fold, an unscaled c-point FFT in ``direction``, then the scale at length n.
 
-    :func:`fold` validates x and its length, once per call.  ``direction``
-    and ``mode`` take a member or its string value; the spectrum records
-    the member.
+    :func:`fold` validates x, its length and the c sums, once per call.
+    ``direction`` and ``mode`` take a member or its string value; the
+    spectrum records the member.
     """
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
-    values = transform(fold(x, plan, counter).samples, direction, mode, counter)
-    k = correction_factor(mode, direction, plan)
-    if k != 1.0:
-        values = values * k
+    values = _fft(fold(x, plan, counter).samples, direction, counter)
     return RicSpectrum(
         indices=ric_index_set(plan),
-        values=values,
+        values=_scaled(values, direction, mode, plan.n),
         plan=plan,
         mode=mode,
         direction=direction,
@@ -91,8 +87,8 @@ def ric_idft(
 ) -> RicSpectrum:
     """Inverse path: values equal the full n-point IDFT of the spectrum at n*L.
 
-    The c-point engine's implicit 1/c (or 1/sqrt(c)) becomes the requested
-    1/n (or 1/sqrt(n)) through the correction factor.
+    The c-point FFT runs unscaled and the result is scaled once by the
+    requested 1/n (or 1/sqrt(n)), never by 1/c.
     """
     return _ric(spectrum, plan, Direction.INVERSE, mode, counter)
 
@@ -160,6 +156,4 @@ def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> 
     if len(x) != plan.n:
         raise LengthMismatchError(f"sequence has {len(x)} samples, plan expects {plan.n}")
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
-    values = _direct_rows(x, ric_index_set(plan), direction)
-    s = _scale(mode, direction, plan.n)
-    return values * s if s != 1.0 else values
+    return _scaled(_direct_rows(x, ric_index_set(plan), direction), direction, mode, plan.n)

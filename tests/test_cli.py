@@ -212,9 +212,16 @@ def test_usage_error_exit_code():
     (["plan", "--sample-rate", "800", "--targets", "100", "--max-n", "64", "--tol", "nan"], 2),
     (["verify", "--random", "--n", "16", "--c", "4", "--seed", "-1"], 2),
     (["bench", "--n-list", "16", "--seed", "-1", "--out", "{tmp}/r.csv"], 2),
+    (["plan", "--sample-rate", "800", "--targets", "100,nan", "--max-n", "64"], 2),
+    # n = 2**53: a 64 PiB array, beyond any user address space, so numpy refuses it at once
+    (["verify", "--random", "--n", str(2 ** 53), "--c", "2"], 2),
+    (["synth", "--n", str(2 ** 53), "--tone", "1:1", "--out", "{tmp}/t.csv"], 2),
+    (["bench", "--n-list", str(2 ** 53), "--c-policy", "explicit", "--c-list", "2",
+      "--trials", "1", "--out", "{tmp}/r.csv"], 2),
 ], ids=["bench-bad-list", "plan-bad-target", "synth-nan-amp", "dft-wrong-length",
         "verify-nan-tol", "verify-negative-tol", "plan-nan-tol", "verify-negative-seed",
-        "bench-negative-seed"])
+        "bench-negative-seed", "plan-nan-target", "verify-huge-n", "synth-huge-n",
+        "bench-huge-n"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, code):
     write_signal(GOLDEN_X, tmp_path / "x.csv")  # 8 samples: wrong length for n = 16
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ricdft.__file__)))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -193,6 +194,15 @@ def test_synthesize_size_must_be_an_integer():
             synthesize_tones(n, [(0, 1.0, 0.0)])
     np.testing.assert_array_equal(synthesize_tones(np.int64(8), [(1, 1.0, 0.0)]),
                                   synthesize_tones(8, [(1, 1.0, 0.0)]))
+
+
+@pytest.mark.parametrize("tone", [
+    (1, math.nan, 0.0), (1, 1.0, math.inf), (1, "a", 0.0), (1, None, 0.0),
+    (True, 1.0, 0.0), (2.0, 1.0, 0.0), ("1", 1.0, 0.0),
+])
+def test_synthesize_rejects_bad_tones(tone):
+    with pytest.raises(OutOfRangeError):
+        synthesize_tones(8, [tone])
 
 
 def test_synthesize_bin_out_of_range():

@@ -149,9 +149,19 @@ def test_max_n_must_be_an_integer_size():
     assert plan_for_frequencies(800.0, [100.0], np.int64(64)) == plan_for_frequencies(800.0, [100.0], 64)
 
 
+@pytest.mark.parametrize("bad", [
+    {"sample_rate": "800"}, {"sample_rate": None}, {"sample_rate": math.nan},
+    {"targets": ["a"]}, {"targets": [None]}, {"targets": [True]}, {"tol": "a"}, {"tol": None},
+])
+def test_non_numbers_are_out_of_range(bad):
+    args = dict(sample_rate=800.0, targets=[100.0], max_n=64) | bad
+    with pytest.raises(OutOfRangeError):
+        plan_for_frequencies(**args)
+
+
 def test_coverage_report_rejects_non_finite_targets():
     proposal = plan_for_frequencies(800.0, [100.0], 64)
-    for t in (math.nan, math.inf, -math.inf, -1.0):
+    for t in (math.nan, math.inf, -math.inf, -1.0, "a", None):
         with pytest.raises(OutOfRangeError):
             coverage_report(proposal, [t])
 
