@@ -6,6 +6,7 @@ Exit codes: 0 success (or verification pass), 1 verification failure,
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -158,6 +159,7 @@ def cmd_synth(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ricdft",

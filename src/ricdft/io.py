@@ -1,15 +1,22 @@
 """Signal and spectrum interchange formats plus test-tone synthesis.
 
-Two signal formats: ``csv`` holds one "re,im" decimal pair per line with
-an optional "re,im" header; ``raw-f64`` holds little-endian float64 pairs
-interleaved re,im with no header, which is the complex128 ("<c16") byte
-layout.  Decimal rendering uses Python's shortest round-trip repr, so csv
-round trips are exact; raw-f64 round trips are bit-exact, signed zeros
-included.  A format is a :class:`SignalFormat` member or its string value.
+Two signal formats: ``csv`` is UTF-8 text holding one "re,im" decimal pair
+per line with an optional "re,im" header; ``raw-f64`` holds little-endian
+float64 pairs interleaved re,im with no header, which is the complex128
+("<c16") byte layout.  Decimal rendering uses Python's shortest round-trip
+repr, so csv round trips are exact; raw-f64 round trips are bit-exact,
+signed zeros included.  A format is a :class:`SignalFormat` member or its
+string value.
+
+A csv signal is parsed in one ``np.loadtxt`` pass.  The line loop runs only
+on a file that pass does not take (a bad line, no samples, or a number form
+only ``float()`` reads, such as ``1_0``): it returns the same values, bit for
+bit, or raises :class:`SignalFileError` with the first bad line.
 """
 
 import json
 import math
+import warnings
 from enum import Enum
 
 import numpy as np
@@ -40,16 +47,49 @@ def read_signal(path, fmt=SignalFormat.CSV) -> np.ndarray:
 
 
 def _read_csv(path) -> np.ndarray:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        rows = _loadtxt(fh)
+    if rows is not None and rows.shape[1] == 2 and np.all(np.isfinite(rows)):
+        return rows.view(np.complex128).ravel()
+    # the loop returns the same values, or raises for the first bad line
+    return _read_csv_lines(path)
+
+
+def _loadtxt(fh):
+    """At least one row of floats after the optional header, in one np.loadtxt pass, or None."""
+    for chunk in iter(lambda: fh.read(1 << 16), ""):
+        if any(ch in chunk for ch in "\x1c\x1d\x1e\x1f"):
+            return None  # loadtxt strips these around a field, float() does not
+    fh.seek(0)
+    for line in iter(fh.readline, ""):
+        if line.strip():
+            if not _is_header(line):
+                fh.seek(0)
+            break
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # no rows: loadtxt warns, so raise
+            return np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except (ValueError, UserWarning):
+        return None
+
+
+def _is_header(line: str) -> bool:
+    return line.strip().replace(" ", "").lower() == "re,im"
+
+
+def _read_csv_lines(path) -> np.ndarray:
     samples = []
     first_content = True
-    with open(path, "r", newline="") as fh:
+    # bytes that are not UTF-8 decode to lone surrogates, which no number parses
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
             is_first = first_content
             first_content = False
-            if is_first and line.replace(" ", "").lower() == "re,im":
+            if is_first and _is_header(line):
                 continue  # optional header, first content line only
             try:
                 re_text, im_text = line.split(",")
@@ -91,8 +131,10 @@ def write_signal(x, path, fmt=SignalFormat.CSV):
     if _member(SignalFormat, fmt) is SignalFormat.CSV:
         with open(path, "w", newline="") as fh:
             fh.write("re,im\n")
-            for z in x:
-                fh.write(f"{float(z.real)!r},{float(z.imag)!r}\n")
+            for i in range(0, x.size, 4096):  # a join per block, so the whole text is never held
+                block = x[i:i + 4096]
+                rows = zip(block.real.tolist(), block.imag.tolist())
+                fh.write("".join(f"{a!r},{b!r}\n" for a, b in rows))
     else:
         x.astype("<c16").tofile(path)
 

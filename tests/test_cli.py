@@ -101,6 +101,31 @@ def test_idft_end_to_end(tmp_path):
     np.testing.assert_allclose(got, GOLDEN_INVERSE_N, atol=1e-12)
 
 
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    write_signal(GOLDEN_X, tmp_path / "x.csv")
+    write_signal(np.concatenate([GOLDEN_FOLD, np.zeros(4, dtype=complex)]), tmp_path / "X.csv")
+    plan = ["plan", "--sample-rate", "600", "--targets", "100,200", "--max-n", "64"]
+    calls = [  # default modes none then recip-n; --any-n then powers of two only
+        (["dft", "--in", "{tmp}/x.csv", "--out", "{tmp}/f.json", "--n", "8", "--c", "4",
+          "--out-format", "json"], 0),
+        (["idft", "--in", "{tmp}/X.csv", "--out", "{tmp}/i.json", "--n", "8", "--c", "4",
+          "--out-format", "json"], 0),
+        (plan + ["--any-n"], 0),  # c = 6: 100 Hz and 200 Hz are retained k = 1 and 2
+        (plan, 2),  # no power-of-two c is a multiple of 6
+    ]
+    for argv, code in calls:
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert main(argv) == code
+        fresh = ricdft.cli.build_parser.__wrapped__().parse_args(argv)
+        assert vars(ricdft.cli.build_parser().parse_args(argv)) == vars(fresh)
+    assert ricdft.cli.build_parser() is ricdft.cli.build_parser()
+    for name, mode, want in (("f.json", "none", GOLDEN_FORWARD), ("i.json", "recip-n", GOLDEN_INVERSE_N)):
+        doc = json.loads((tmp_path / name).read_text())
+        assert doc["header"]["mode"] == mode
+        got = np.array([complex(e["re"], e["im"]) for e in doc["entries"]])
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+
 def test_plan_feasible_json(capsys):
     assert run("plan", "--sample-rate", 800, "--targets", "100,200,300",
                "--max-n", 64, "--json") == 0
@@ -218,12 +243,14 @@ def test_usage_error_exit_code():
     (["synth", "--n", str(2 ** 53), "--tone", "1:1", "--out", "{tmp}/t.csv"], 2),
     (["bench", "--n-list", str(2 ** 53), "--c-policy", "explicit", "--c-list", "2",
       "--trials", "1", "--out", "{tmp}/r.csv"], 2),
+    (["dft", "--in", "{tmp}/b.csv", "--out", "{tmp}/o.csv", "--n", "4", "--c", "2"], 3),
 ], ids=["bench-bad-list", "plan-bad-target", "synth-nan-amp", "dft-wrong-length",
         "verify-nan-tol", "verify-negative-tol", "plan-nan-tol", "verify-negative-seed",
         "bench-negative-seed", "plan-nan-target", "verify-huge-n", "synth-huge-n",
-        "bench-huge-n"])
+        "bench-huge-n", "dft-not-utf8"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, code):
     write_signal(GOLDEN_X, tmp_path / "x.csv")  # 8 samples: wrong length for n = 16
+    (tmp_path / "b.csv").write_bytes(b"\xff\xfe1,2\n1,2\n1,2\n1,2\n")  # not UTF-8
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ricdft.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "ricdft"] + [a.format(tmp=tmp_path) for a in argv],

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import ricdft.io
 from ricdft import (
     NormalizationMode,
     OutOfRangeError,
@@ -210,3 +211,127 @@ def test_synthesize_bin_out_of_range():
         synthesize_tones(8, [(8, 1.0, 0.0)])
     with pytest.raises(OutOfRangeError):
         synthesize_tones(8, [(-1, 1.0, 0.0)])
+
+
+def _read_like_line_loop(path):
+    """read_signal(path), checked bit for bit against the line loop it replaces.
+
+    Returns the samples, or the SignalFileError both raise with the same
+    message and line.
+    """
+    try:
+        want = ricdft.io._read_csv_lines(path)
+    except SignalFileError as exc:
+        with pytest.raises(SignalFileError) as excinfo:
+            read_signal(path)
+        assert (str(excinfo.value), excinfo.value.line) == (str(exc), exc.line)
+        return exc
+    got = read_signal(path)
+    assert got.dtype == np.complex128
+    assert got.tobytes() == want.tobytes()  # signs of zero included
+    return got
+
+
+@pytest.mark.parametrize("name, data, want", [
+    ("x.csv", b"re,im\n1,2\n", [1 + 2j]),
+    ("x.csv", b"RE, IM\n1,2\n", [1 + 2j]),
+    ("x.csv", b"\n\n  re , im \n1,2\n", [1 + 2j]),
+    ("x.csv", b"1,2\n3,4\n", [1 + 2j, 3 + 4j]),
+    ("x.csv", b"re,im\r\n1,2\r\n3,4\r\n", [1 + 2j, 3 + 4j]),
+    ("x.csv", b"1,2\r3,4\r", [1 + 2j, 3 + 4j]),
+    ("x.csv", b"1,2\n\n\n3,4", [1 + 2j, 3 + 4j]),
+    ("x.csv", b"1,2\n \t\n3,4\n", [1 + 2j, 3 + 4j]),
+    ("x.csv", b" 1 , 2 \n\t3,\t4\n", [1 + 2j, 3 + 4j]),
+    ("x.csv", b"+1,-0.0\n-0.0,0.0\n", [complex(1, -0.0), complex(-0.0, 0.0)]),
+    ("x.csv", b"1e-320,-5e-324\n", [complex(1e-320, -5e-324)]),
+    ("x.csv", b"1_0,2\n", [10 + 2j]),
+    ("x.csv", "1\u2003,\u0662\n".encode(), [1 + 2j]),  # unicode space and digit
+    ("x.csv.gz", b"re,im\n1,2\n", [1 + 2j]),  # plain text, whatever the name says
+    ("x.csv", b"1,2\n3,4\nnan,1\n", 3),
+    ("x.csv", b"1,2\n1,-inf\n", 2),
+    ("x.csv", b"re,im\n1,2\n3\n", 3),
+    ("x.csv", b"1,2\n1,2,3\n", 2),
+    ("x.csv", b"1\r,2\n", 1),
+    ("x.csv", b"1,2\x1e\n", [1 + 2j]),  # the line is stripped
+    ("x.csv", b"1\x1e,2\n", 1),  # float() does not strip \x1c-\x1f from a field
+    ("x.csv", b"1,2\x003,4\n", 1),
+    ("x.csv", b"re,im\nre,im\n1,2\n", 2),  # the header is skipped once only
+    ("x.csv", b"\xef\xbb\xbf1,2\n", 1),  # a byte-order mark is not whitespace
+    ("x.csv", b"\xff\xfe1,2\n1,2\n", 1),  # not UTF-8
+    ("x.csv", b"1,2\n1,2\n1,\xe92\n", 3),
+    ("x.csv", b"", None),
+    ("x.csv", b"re,im\n", None),
+    ("x.csv", b"\n \r\n", None),
+], ids=["header", "header-caps-spaced", "header-after-blanks", "no-header", "crlf", "cr",
+        "blank-lines", "whitespace-line", "spaced-fields", "signed-zeros", "subnormals",
+        "underscore", "unicode", "gz-name", "nan-line-3", "inf-line-2", "one-field",
+        "three-fields", "cr-splits-a-row", "line-ends-1e", "field-ends-1e", "nul", "second-header",
+        "bom", "not-utf8", "not-utf8-line-3", "empty", "header-only", "blank-only"])
+def test_read_csv_matches_line_loop(tmp_path, name, data, want):
+    path = tmp_path / name
+    path.write_bytes(data)
+    got = _read_like_line_loop(path)
+    if isinstance(want, list):
+        assert got.tobytes() == np.array(want, dtype=np.complex128).tobytes()
+    else:
+        assert isinstance(got, SignalFileError) and got.line == want
+
+
+def test_read_csv_matches_line_loop_on_random_files(tmp_path):
+    rng = np.random.default_rng(53)
+
+    def pick(common, rare):
+        return str(rng.choice(rare if rng.random() < 0.03 else common))
+
+    def pad():
+        return pick(["", " "], ["\t", "\x0c", "\u2003", "\x00", "\x1e"])
+
+    def csv_text():
+        lines = ["re,im\n"] if rng.random() < 0.3 else []
+        for _ in range(int(rng.integers(0, 6))):
+            width = 2 if rng.random() > 0.03 else int(rng.integers(1, 4))
+            fields = [pick(["1", "-0.0", "+2.5e-3", "1e-320", ".5", "7."],
+                           ["1_0", "nan", "-inf", "x", "", "\xe9"]) for _ in range(width)]
+            line = pick([",".join(pad() + f + pad() for f in fields)], ["", " ", "re,im", " RE , Im "])
+            lines.append(line + pick(["\n", "\r\n"], ["\r", ""]))
+        return "".join(lines)
+
+    path = tmp_path / "fuzz.csv"
+    outcomes = set()
+    for _ in range(400):
+        path.write_text(csv_text(), encoding="utf-8", newline="")
+        outcomes.add(isinstance(_read_like_line_loop(path), SignalFileError))
+    assert outcomes == {False, True}  # the draw reaches both outcomes
+
+
+def test_well_formed_csv_never_reaches_line_loop(tmp_path, monkeypatch):
+    def line_loop(path):
+        raise AssertionError("the line loop ran")
+
+    monkeypatch.setattr(ricdft.io, "_read_csv_lines", line_loop)
+    path = tmp_path / "x.csv"
+    write_signal(GOLDEN_X, path)
+    np.testing.assert_array_equal(read_signal(path), GOLDEN_X)
+    path.write_bytes(b"\r\n RE, im\r\n1, 2\r\n\r\n-0.0,3e-1\r\n")
+    assert read_signal(path).tobytes() == np.array([1 + 2j, complex(-0.0, 0.3)]).tobytes()
+
+
+def test_csv_round_trip_at_realistic_n(tmp_path):
+    rng = np.random.default_rng(54)
+    x = random_complex(rng, 1 << 16)
+    path = tmp_path / "x.csv"
+    write_signal(x, path)
+    assert _read_like_line_loop(path).tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("x", [
+    GOLDEN_X,
+    np.array([complex(0.0, -0.0), complex(-0.0, 0.0), complex(5e-324, -1e-310),
+              complex(-2.2250738585072014e-308, 1.7976931348623157e308)]),
+    random_complex(np.random.default_rng(55), 4097),
+], ids=["golden", "signed-zeros-subnormals", "random-4097"])
+def test_write_csv_bytes_match_per_sample_format(tmp_path, x):
+    path = tmp_path / "x.csv"
+    write_signal(x, path)
+    want = "re,im\n" + "".join(f"{float(z.real)!r},{float(z.imag)!r}\n" for z in x)
+    assert path.read_bytes() == want.encode()
