@@ -8,9 +8,13 @@ kernel also gives the oracle its c retained rows, and a self-sorting
 radix-2 FFT for power-of-two lengths.
 
 Twiddle factors come from one cached table per length M, entry r holding
-W_M**(-r) = exp(-2j*pi*r/M).  Exponents are reduced modulo M in integer
-arithmetic before the table is indexed, so W_M**a == W_M**(a mod M) holds
-exactly even for huge exponents.  Every path scales in one epilogue,
+W_M**(-r) = exp(-2j*pi*r/M).  Exponents stay exact integers and are
+reduced modulo M before the table is indexed, so W_M**a == W_M**(a mod M)
+holds exactly even for huge exponents.  The direct row kernel splits the
+column index j = j1 + B*j2 with B = isqrt(M): it reduces k*j1 and k*B*j2
+modulo M, and their sum, below 2M, needs one wrap to index the table.
+It works in blocks of about 2**15 (row, column) cells, 0.5 MB of complex
+values, so a block stays in L2.  Every path scales in one epilogue,
 ``_scaled``, by the :mod:`ricdft.core` factor at a given length (n for
 the pipeline and the oracle, whose sums are c of n rows).
 
@@ -32,6 +36,8 @@ its length: radix-2 for a power of two, else direct.  Output scaling
 applied by a normalization mode is not counted.
 """
 
+import math
+
 import numpy as np
 
 from .core import (Direction, NormalizationMode, NotPowerOfTwoError, OpCounter, _member, _scale,
@@ -40,6 +46,10 @@ from .core import (Direction, NormalizationMode, NotPowerOfTwoError, OpCounter, 
 # Per-length tables of W_M**(-r) for r = 0..M-1, built once and then
 # read-shared.  Inverse-direction values are exact conjugates.
 _tables: dict[int, np.ndarray] = {}
+
+# (row, column) cells a block of the direct row kernel aims at: 2**15
+# complex values, 0.5 MB, so that a block stays in L2.
+_BLOCK_CELLS = 1 << 15
 
 
 def twiddle_table(order: int) -> np.ndarray:
@@ -80,18 +90,27 @@ def _direct_rows(x: np.ndarray, rows: np.ndarray, direction: Direction) -> np.nd
 
     x is a validated length-M sequence, ``rows`` int64 indices in [0, M)
     and ``direction`` a member; the work is M products per row.
+
+    Column j is split as j1 + B*j2 with B = isqrt(M), so a block of rows
+    reduces (k*j1) mod M and (k*B*j2) mod M, O(B + M/B) modulo operations
+    per row rather than M.  Their sum is below 2M, and the wrapping take
+    reads table[(k*j) mod M], the entry the definition names.  Blocks hold
+    about _BLOCK_CELLS cells and at least two rows each, since
+    a one-row product takes BLAS's dot path, whose rounding differs from
+    the matrix-vector product every other row gets.
     """
     m = len(x)
     table = twiddle_table(m)
     if direction is Direction.INVERSE:
         table = table.conj()
-    out = np.empty(len(rows), dtype=np.complex128)
-    n_idx = np.arange(m, dtype=np.int64)
-    chunk = max(1, (1 << 21) // m)  # bound the k*n index block to ~16 MB
-    for r0 in range(0, len(rows), chunk):
-        k_idx = rows[r0 : r0 + chunk]
-        out[r0 : r0 + len(k_idx)] = table[(k_idx[:, None] * n_idx) % m] @ x
-    return out
+    b = math.isqrt(m)
+    j1, j2 = np.arange(b, dtype=np.int64), np.arange(0, m, b, dtype=np.int64)
+    blocks = np.array_split(rows[:, None], max(1, len(rows) // max(2, _BLOCK_CELLS // m)))
+    out = []
+    for k in blocks:
+        e = ((k * j2) % m)[:, :, None] + ((k * j1) % m)[:, None, :]
+        out.append(np.take(table, e.reshape(len(k), -1)[:, :m], mode="wrap") @ x)
+    return np.concatenate(out)
 
 
 def fft_radix2(

@@ -29,8 +29,9 @@ def fold(x, plan: RicPlan, counter: OpCounter | None = None) -> FoldedSequence:
 
     output[col] = sum over row of x[row*c + col], for col in [0, c-1].
     Halves l and doubles the width w (first c) while l is even and l > w,
-    sums the l' x w columns, then folds those w sums to c: a fixed order,
-    not by ascending row.  NaN/Inf (or overflow) is sought in the c sums.
+    sums the l' x w columns, then folds those w sums to c when w > c: a
+    fixed order, not by ascending row.  NaN/Inf (or overflow) is sought in
+    the c sums.
     """
     x = _complex_array(x)
     if len(x) != plan.n:
@@ -40,7 +41,8 @@ def fold(x, plan: RicPlan, counter: OpCounter | None = None) -> FoldedSequence:
         l, w = l // 2, w * 2
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.add.reduce(x.reshape(l, w), axis=0)
-        out = np.add.reduce(out.reshape(w // plan.c, plan.c), axis=0)
+        if w > plan.c:
+            out = np.add.reduce(out.reshape(w // plan.c, plan.c), axis=0)
     _finite(out, "sequence, or a column sum overflows")
     if counter is not None:
         counter.add(plan.c * (plan.l - 1))

@@ -1,4 +1,5 @@
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,34 @@ def test_direct_matches_numpy():
         x = random_complex(rng, n)
         np.testing.assert_allclose(dft_direct(x), np.fft.fft(x), rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(dft_direct(x, I, RECIP), np.fft.ifft(x), rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 24, 4099, 4096])
+@pytest.mark.parametrize("direction", [F, I])
+def test_direct_rows_equal_the_full_modulo_formulation(m, direction):
+    # k*n reduced modulo m over the whole row: the same table entries and the
+    # same matrix-vector product, so the same bits; 256-row blocks bound memory
+    x = random_complex(np.random.default_rng(m), m)
+    table = twiddle_table(m) if direction is F else twiddle_table(m).conj()
+    k = np.arange(m, dtype=np.int64)
+    want = np.concatenate(
+        [table[(k[r0 : r0 + 256, None] * np.arange(m)) % m] @ x for r0 in range(0, m, 256)]
+    )
+    assert engine._direct_rows(x, k, direction).tobytes() == want.tobytes()
+
+
+def test_direct_rows_block_memory():
+    # the retained rows at n = 4096, c = 512 in blocks of about 0.5 MB
+    n, c = 4096, 512
+    x = random_complex(np.random.default_rng(7), n)
+    rows = np.arange(c, dtype=np.int64) * (n // c)
+    tracemalloc.start()
+    try:
+        engine._direct_rows(x, rows, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_fft_length_one_and_golden():

@@ -101,6 +101,17 @@ def test_fold_composition():
     np.testing.assert_allclose(two_step, one_step, rtol=0, atol=1e-12)
 
 
+def test_fold_without_widening_is_one_column_sum():
+    # l odd or l <= c leaves the width at c, so the fold is one pass of column sums
+    rng = np.random.default_rng(16)
+    for n in (24, 36, 60, 96, 2310):
+        x = random_complex(rng, n)
+        for c, l in divisor_pairs(n):
+            if l % 2 == 1 or l <= c:
+                want = np.add.reduce(x.reshape(l, c), axis=0)
+                assert fold(x, make_plan(n, c)).samples.tobytes() == want.tobytes(), (n, c)
+
+
 def test_fold_count_exactness_every_plan():
     rng = np.random.default_rng(15)
     for n in (8, 16, 24, 36, 64, 128):

@@ -240,9 +240,13 @@ def test_tolerance_checked_before_the_oracle(monkeypatch):
         verify_against_oracle(GOLDEN_X, make_plan(8, 4), tolerance=float("nan"))
 
 
-@pytest.mark.parametrize("n, cs", [(24, None), (60, None), (1024, None), (4096, (8, 64, 512))])
+@pytest.mark.parametrize(
+    "n, cs",
+    [(24, None), (60, None), (1024, None), (2310, None), (3240, (648,)), (4096, (8, 64, 512))],
+)
 def test_oracle_is_the_direct_transform_at_the_retained_rows(n, cs):
-    # the same row kernel and block loop as dft_direct, so equal bit for bit
+    # the same row kernel as dft_direct, whose blocks of two or more rows all
+    # take the matrix-vector product, so equal bit for bit
     x = random_complex(np.random.default_rng(n), n)
     cs = cs or [c for c, _ in divisor_pairs(n)]
     for direction in (F, I):
