@@ -13,8 +13,8 @@ import sys
 import numpy as np
 
 from .bench import BenchConfig, emit_report, run_benchmark
-from .core import (Direction, NormalizationMode, OpCounter, RicdftError, _size, _tolerance, make_plan,
-                   plan_from_exponents)
+from .core import (Direction, NormalizationMode, OpCounter, RicdftError, _real, _size, _tolerance,
+                   make_plan, plan_from_exponents)
 from .fold import fold
 from .io import SignalFileError, read_signal, synthesize_tones, write_signal, write_spectrum
 from .planner import InfeasibleError, plan_for_frequencies
@@ -121,16 +121,17 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     plan = _plan_from_args(args)
     tol = _tolerance(args.tol)  # before the folded path and the O(n*c) oracle run
+    perturb = _real("perturb", args.perturb)
+    if args.random == (args.infile is not None):  # neither or both
+        raise RicdftError("give either --in FILE or --random, not both")
     if args.random:
         rng = np.random.default_rng(_size("seed", args.seed))
         x = rng.standard_normal(plan.n) + 1j * rng.standard_normal(plan.n)
-    elif args.infile:
-        x = read_signal(args.infile, args.in_format)
     else:
-        raise RicdftError("give --in FILE or --random")
+        x = read_signal(args.infile, args.in_format)
     got = _ric(x, plan, args.direction, args.mode, None).values
     # --perturb corrupts the folded path only, so a large enough value must fail
-    got = got + args.perturb * max(1.0, float(np.max(np.abs(got))))
+    got = got + perturb * max(1.0, float(np.max(np.abs(got))))
     report = compare_values(got, _oracle(x, plan, args.direction, args.mode), tol)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} max_abs_error={report.max_abs_error!r} "

@@ -10,13 +10,14 @@ radix-2 FFT for power-of-two lengths.
 Twiddle factors come from one cached table per length M, entry r holding
 W_M**(-r) = exp(-2j*pi*r/M).  Exponents stay exact integers and are
 reduced modulo M before the table is indexed, so W_M**a == W_M**(a mod M)
-holds exactly even for huge exponents.  The direct row kernel splits the
-column index j = j1 + B*j2 with B = isqrt(M): it reduces k*j1 and k*B*j2
-modulo M, and their sum, below 2M, needs one wrap to index the table.
-It works in blocks of about 2**15 (row, column) cells, 0.5 MB of complex
-values, so a block stays in L2.  Every path scales in one epilogue,
-``_scaled``, by the :mod:`ricdft.core` factor at a given length (n for
-the pipeline and the oracle, whose sums are c of n rows).
+holds exactly even for huge exponents.  The direct row kernel splits
+j = j1 + B*j2 with B = isqrt(M), as Bailey's four-step FFT (1990) does,
+but with no inner FFT: per block of rows it multiplies W_M**(k*j1) by x
+read as a B x ceil(M/B) matrix in one BLAS product and reduces each row
+of that against W_M**(k*B*j2), 2*sqrt(M) table entries a row.  Every
+path scales in one epilogue, ``_scaled``, by the :mod:`ricdft.core`
+factor at a given length (n for the pipeline and the oracle, whose sums
+are c of n rows).
 
 The radix-2 engine is the self-sorting (Stockham) decimation-in-time
 form: column j of its R x K work array holds the R-point transform of
@@ -47,9 +48,14 @@ from .core import (Direction, NormalizationMode, NotPowerOfTwoError, OpCounter, 
 # read-shared.  Inverse-direction values are exact conjugates.
 _tables: dict[int, np.ndarray] = {}
 
-# (row, column) cells a block of the direct row kernel aims at: 2**15
-# complex values, 0.5 MB, so that a block stays in L2.
-_BLOCK_CELLS = 1 << 15
+# Values of the larger twiddle matrix a block of the direct row kernel
+# aims at: 2**13 complex values, 128 KB, so that a block's three such
+# matrices stay in L2.
+_BLOCK_CELLS = 1 << 13
+
+# Depth of each BLAS product in the row kernel: a threaded OpenBLAS splits a
+# deeper one (M = 24,000 at 2 threads, say) where the number of rows decides.
+_DEPTH = 128
 
 
 def twiddle_table(order: int) -> np.ndarray:
@@ -86,30 +92,34 @@ def dft_direct(
 
 
 def _direct_rows(x: np.ndarray, rows: np.ndarray, direction: Direction) -> np.ndarray:
-    """Unscaled sums over n of x[n] * W_M**(-+ k*n) at each row k in ``rows``.
+    """Unscaled sums over j of x[j] * W_M**(-+ k*j) at each row k in ``rows``.
 
     x is a validated length-M sequence, ``rows`` int64 indices in [0, M)
     and ``direction`` a member; the work is M products per row.
 
-    Column j is split as j1 + B*j2 with B = isqrt(M), so a block of rows
-    reduces (k*j1) mod M and (k*B*j2) mod M, O(B + M/B) modulo operations
-    per row rather than M.  Their sum is below 2M, and the wrapping take
-    reads table[(k*j) mod M], the entry the definition names.  Blocks hold
-    about _BLOCK_CELLS cells and at least two rows each, since
-    a one-row product takes BLAS's dot path, whose rounding differs from
-    the matrix-vector product every other row gets.
+    Row k is the sum over j2 of W_M**(k*B*j2) * (A @ X)[k, j2], where
+    A[k, j1] = W_M**(k*j1), B = isqrt(M) and X[j1, j2] = x[j1 + B*j2], x
+    zero-padded to B*ceil(M/B) samples; exponents are reduced modulo M in
+    integers.  A row gets the same bits in any block of two or more rows:
+    the sum over j2 is a numpy reduction per row and A @ X a sum of
+    products of depth _DEPTH (one row would take BLAS's vector path, which
+    rounds differently).
     """
     m = len(x)
     table = twiddle_table(m)
     if direction is Direction.INVERSE:
         table = table.conj()
     b = math.isqrt(m)
-    j1, j2 = np.arange(b, dtype=np.int64), np.arange(0, m, b, dtype=np.int64)
-    blocks = np.array_split(rows[:, None], max(1, len(rows) // max(2, _BLOCK_CELLS // m)))
+    j1, bj2 = np.arange(b, dtype=np.int64), np.arange(0, m, b, dtype=np.int64)
+    if m % b:
+        x = np.concatenate([x, np.zeros(b * len(bj2) - m, complex)])
+    xt = x.reshape(-1, b).T
+    blocks = np.array_split(rows[:, None], max(1, len(rows) // max(2, _BLOCK_CELLS // len(bj2))))
     out = []
     for k in blocks:
-        e = ((k * j2) % m)[:, :, None] + ((k * j1) % m)[:, None, :]
-        out.append(np.take(table, e.reshape(len(k), -1)[:, :m], mode="wrap") @ x)
+        p = sum(table[(k * j1[d:d + _DEPTH]) % m] @ xt[d:d + _DEPTH] for d in range(0, b, _DEPTH))
+        p *= table[(k * bj2) % m]
+        out.append(p.sum(axis=1))
     return np.concatenate(out)
 
 

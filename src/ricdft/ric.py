@@ -149,8 +149,9 @@ def verify_against_oracle(
 def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
     """The retained coefficients by the definition, in O(n*c).
 
-    Rows k*L of the n-point direct transform, scaled at length n; neither
-    the fold nor the twiddle collapse W_n**(l*m) = W_c**m is used.
+    Rows k*L of the n-point direct transform, scaled at length n, from the
+    matrix-product row kernel of :func:`dft_direct` and so its rows bit for
+    bit; the fold, the c-point FFT and W_n**(l*m) = W_c**m go unused.
     """
     x = as_complex_sequence(x)
     if len(x) != plan.n:

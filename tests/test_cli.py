@@ -244,10 +244,14 @@ def test_usage_error_exit_code():
     (["bench", "--n-list", str(2 ** 53), "--c-policy", "explicit", "--c-list", "2",
       "--trials", "1", "--out", "{tmp}/r.csv"], 2),
     (["dft", "--in", "{tmp}/b.csv", "--out", "{tmp}/o.csv", "--n", "4", "--c", "2"], 3),
+    (["verify", "--random", "--n", "16", "--c", "4", "--perturb", "nan"], 2),
+    (["verify", "--random", "--n", "16", "--c", "4", "--perturb", "inf"], 2),
+    (["verify", "--random", "--in", "{tmp}/x.csv", "--n", "8", "--c", "4"], 2),
 ], ids=["bench-bad-list", "plan-bad-target", "synth-nan-amp", "dft-wrong-length",
         "verify-nan-tol", "verify-negative-tol", "plan-nan-tol", "verify-negative-seed",
         "bench-negative-seed", "plan-nan-target", "verify-huge-n", "synth-huge-n",
-        "bench-huge-n", "dft-not-utf8"])
+        "bench-huge-n", "dft-not-utf8", "verify-nan-perturb", "verify-inf-perturb",
+        "verify-in-and-random"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, code):
     write_signal(GOLDEN_X, tmp_path / "x.csv")  # 8 samples: wrong length for n = 16
     (tmp_path / "b.csv").write_bytes(b"\xff\xfe1,2\n1,2\n1,2\n1,2\n")  # not UTF-8

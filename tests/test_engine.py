@@ -1,4 +1,5 @@
 import cmath
+import math
 import tracemalloc
 
 import numpy as np
@@ -67,32 +68,61 @@ def test_direct_matches_numpy():
         np.testing.assert_allclose(dft_direct(x, I, RECIP), np.fft.ifft(x), rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 7, 24, 4099, 4096])
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 24, 4099, 4096, 3240, 24000])
 @pytest.mark.parametrize("direction", [F, I])
-def test_direct_rows_equal_the_full_modulo_formulation(m, direction):
-    # k*n reduced modulo m over the whole row: the same table entries and the
-    # same matrix-vector product, so the same bits; 256-row blocks bound memory
-    x = random_complex(np.random.default_rng(m), m)
+def test_direct_rows_are_independent_of_the_row_set(m, direction):
+    # any rows, alone or in blocks of any size, get the bits the whole
+    # transform gives them, so the oracle's rows are dft_direct's rows;
+    # m = 24,000 takes a product deeper than a threaded BLAS keeps in one pass
+    rng = np.random.default_rng(m)
+    x = random_complex(rng, m)
+    full = engine._direct_rows(x, np.arange(m, dtype=np.int64), direction)
+    per_block = max(2, engine._BLOCK_CELLS // -(-m // math.isqrt(m)))
+    for size in (2, 3, per_block - 1, per_block + 1):
+        if size <= m:
+            rows = np.sort(rng.choice(m, size, replace=False))
+            got = engine._direct_rows(x, rows, direction)
+            assert got.tobytes() == full[rows].tobytes(), size
+    # an impulse at j gives each row the entry the definition names,
+    # table[(k*j) mod m] with the exponent reduced in Python integers, as the
+    # product of two entries: a few ulps off it, and any other entry is at
+    # least 2*sin(pi/m) away
     table = twiddle_table(m) if direction is F else twiddle_table(m).conj()
-    k = np.arange(m, dtype=np.int64)
-    want = np.concatenate(
-        [table[(k[r0 : r0 + 256, None] * np.arange(m)) % m] @ x for r0 in range(0, m, 256)]
-    )
-    assert engine._direct_rows(x, k, direction).tobytes() == want.tobytes()
+    rows = np.sort(rng.choice(m, min(m, 64), replace=False))
+    for j in rng.integers(0, m, 3).tolist():
+        impulse = np.zeros(m, dtype=np.complex128)
+        impulse[j] = 1.0
+        want = table[[int(k) * j % m for k in rows]]
+        got = engine._direct_rows(impulse, rows, direction)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("c", [64, 512, 4096])
+def test_direct_rows_error_against_npfft_at_2_18(c):
+    # the retained rows at n = 2**18 agree with np.fft to a normwise 1e-13
+    n = 1 << 18
+    x = random_complex(np.random.default_rng(c), n)
+    rows = np.arange(c, dtype=np.int64) * (n // c)
+    for direction, want in ((F, np.fft.fft(x)), (I, np.fft.ifft(x, norm="forward"))):
+        got = engine._direct_rows(x, rows, direction)
+        err = np.max(np.abs(got - want[rows])) / np.max(np.abs(want[rows]))
+        assert err <= 1e-13, (direction, err)
 
 
 def test_direct_rows_block_memory():
-    # the retained rows at n = 4096, c = 512 in blocks of about 0.5 MB
-    n, c = 4096, 512
-    x = random_complex(np.random.default_rng(7), n)
-    rows = np.arange(c, dtype=np.int64) * (n // c)
-    tracemalloc.start()
-    try:
-        engine._direct_rows(x, rows, F)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 << 20, peak
+    # blocks of three 128 KB matrices: at most 4 MiB beyond one n-point copy of x,
+    # which is padded when isqrt(n) does not divide n; the table is built first
+    for n, c in ((4096, 512), (1 << 18, 4096)):
+        x = random_complex(np.random.default_rng(7), n)
+        rows = np.arange(c, dtype=np.int64) * (n // c)
+        twiddle_table(n)
+        tracemalloc.start()
+        try:
+            engine._direct_rows(x, rows, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (4 << 20) + x.nbytes, (n, c, peak)
 
 
 def test_fft_length_one_and_golden():

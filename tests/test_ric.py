@@ -245,8 +245,8 @@ def test_tolerance_checked_before_the_oracle(monkeypatch):
     [(24, None), (60, None), (1024, None), (4096, (8, 64, 512)), (2310, None), (3240, (648,))],
 )
 def test_oracle_is_the_direct_transform_at_the_retained_rows(n, cs):
-    # the same row kernel as dft_direct, whose blocks of two or more rows all
-    # take the matrix-vector product, so equal bit for bit
+    # the same row kernel as dft_direct, whose rows get the same bits in
+    # any block of two or more rows, so equal bit for bit
     x = random_complex(np.random.default_rng(n), n)
     cs = cs or [c for c, _ in divisor_pairs(n)]
     for direction in (F, I):
