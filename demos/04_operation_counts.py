@@ -3,44 +3,35 @@ Counting the work: folded pipeline vs full-length transforms
 ============================================================
 
 The fold costs c*(l-1) complex additions and no multiplications, after
-which only a c-point transform runs.  The benchmark harness pits that
-against the full n-point transform (then selecting the retained indices)
-and records exact operation counts plus median wall times.
-
-Counts are deterministic; timings depend on the machine.
+which only a c-point transform runs.  Both costs are closed forms in
+(n, c), so the table below follows from the plans alone: no signal is
+made and nothing is timed.  A transform of length m is counted as its
+reference engine: radix-2 when m is a power of two, else direct.
 """
 
-import tempfile
-from pathlib import Path
+from ricdft import make_plan, op_counts, ric_op_counts
 
-from ricdft import BenchConfig, emit_report, run_benchmark
-
-config = BenchConfig(n_list=(1024,), c_policy="pow2", trials=9, seed=42)
-report = run_benchmark(config)
-
-print(f"n=1024, seed={report.seed}, trials={report.trials}")
-print(f"{'c':>5} {'method':>7} {'adds':>9} {'mults':>9} {'median us':>10} {'rel err':>9}")
-for row in report.rows:
-    if row.method == "direct":
-        continue
-    print(f"{row.c:>5} {row.method:>7} {row.complex_adds:>9} {row.complex_mults:>9}"
-          f" {row.wall_time_ns / 1000:>10.1f} {row.max_rel_error:>9.1e}")
+n = 1024
+full_adds, full_mults = op_counts(n)
+print(f"n={n}: the full transform costs {full_adds} adds, {full_mults} mults")
+print(f"{'c':>5} {'l':>5} {'ric adds':>9} {'ric mults':>10} {'mults saved':>12}")
+for p in range(1, 10):
+    plan = make_plan(n, 2 ** p)
+    adds, mults = ric_op_counts(plan)
+    print(f"{plan.c:>5} {plan.l:>5} {adds:>9} {mults:>10} {full_mults // mults:>11}x")
 
 # Multiplications come only from the c-point transform, so their count
 # grows with c; pick the smallest c whose retained grid covers your needs.
-# Wall time follows the count only loosely at this n: the fold is two
-# vectorized passes for every c, so per-call overhead weighs as much as
-# the additions.  The square plan l = c = 32 sits in the middle:
-ric_rows = {r.c: r for r in report.rows if r.method == "ric"}
-full_mults = next(r.complex_mults for r in report.rows if r.method == "full")
-square = ric_rows[32]
-print(f"\nsquare plan c=l=32: {square.complex_mults} mults"
-      f" vs {full_mults} for the full transform"
-      f" ({full_mults // square.complex_mults}x fewer)")
+# The square plan l = c = 32 sits in the middle:
+square = make_plan(n, 32)
+print(f"\nsquare plan c=l=32: {ric_op_counts(square)[1]} mults"
+      f" vs {full_mults} for the full transform")
 
-# Reports serialize as csv, json or a markdown table.
-with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "bench_1024.md"
-    emit_report(report, path, "markdown")
-    lines = path.read_text().splitlines()
-print(f"markdown report: {len(lines)} lines, header {lines[0]}")
+# A length with odd factors counts as the direct engine: at n = 24000,
+# c = 3000 the fold leaves a 3000-point transform instead of a 24000-point one.
+plan = make_plan(24000, 3000)
+print(f"n=24000, c=3000: {ric_op_counts(plan)[1]} mults vs {op_counts(24000)[1]}")
+
+# The same table, as csv, from the command line:
+#   ricdft bench --n-list 1024            (every power-of-two c in [2, n/2])
+#   ricdft bench --n-list 24000 --c-list 3000

@@ -3,9 +3,9 @@
 Fold an n-point sequence to c column sums (c*(l-1) complex additions, no
 multiplications), transform the c points, and the results equal the full
 n-point transform at indices 0, l, 2l, ..., (c-1)l.  The package bundles
-the fold, direct and radix-2 engines with operation counting, the
-end-to-end pipeline with normalization corrections, a frequency planner,
-file formats and a benchmark harness.
+the fold, the transform with its direct and radix-2 references, the
+end-to-end pipeline with normalization corrections, the closed-form
+operation counts of a plan, a frequency planner and file formats.
 """
 
 from .core import (
@@ -25,7 +25,7 @@ from .core import (
     make_plan,
     plan_from_exponents,
 )
-from .engine import dft_direct, fft_radix2, transform, twiddle_table
+from .engine import dft_direct, fft_radix2, op_counts, transform, twiddle_table
 from .fold import FoldedSequence, fold, fold_spectrum
 from .io import (
     SignalFileError,
@@ -49,18 +49,14 @@ from .ric import (
     ric_dft,
     ric_idft,
     ric_index_set,
+    ric_op_counts,
     verify_against_oracle,
 )
-from .bench import BenchConfig, BenchReport, BenchRow, ConfigError, emit_report, run_benchmark
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Assignment",
-    "BenchConfig",
-    "BenchReport",
-    "BenchRow",
-    "ConfigError",
     "Direction",
     "FoldedSequence",
     "InfeasibleError",
@@ -88,13 +84,14 @@ __all__ = [
     "fold_spectrum",
     "is_power_of_two",
     "make_plan",
+    "op_counts",
     "plan_for_frequencies",
     "plan_from_exponents",
     "read_signal",
     "ric_dft",
     "ric_idft",
     "ric_index_set",
-    "run_benchmark",
+    "ric_op_counts",
     "synthesize_tones",
     "transform",
     "twiddle_table",

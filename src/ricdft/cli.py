@@ -1,5 +1,8 @@
 """Command-line surface: compress, dft, idft, plan, bench, verify, synth.
 
+Operation counts, printed by compress, dft and idft and tabulated by
+bench, come from the plan's closed form; nothing is timed or tallied.
+
 Exit codes: 0 success (or verification pass), 1 verification failure,
 2 usage or configuration error (a size too large to allocate included),
 3 I/O or parse error.
@@ -12,13 +15,13 @@ import sys
 
 import numpy as np
 
-from .bench import BenchConfig, emit_report, run_benchmark
-from .core import (Direction, NormalizationMode, OpCounter, RicdftError, _real, _size, _tolerance,
-                   make_plan, plan_from_exponents)
+from .core import (Direction, NormalizationMode, RicdftError, _real, _size, _tolerance, make_plan,
+                   plan_from_exponents)
+from .engine import op_counts
 from .fold import fold
 from .io import SignalFileError, read_signal, synthesize_tones, write_signal, write_spectrum
 from .planner import InfeasibleError, plan_for_frequencies
-from .ric import _oracle, _ric, compare_values
+from .ric import _oracle, _ric, compare_values, ric_op_counts
 
 
 def _add_plan_flags(sub):
@@ -47,23 +50,18 @@ def _numbers(text: str, kind) -> list:
 def cmd_compress(args) -> int:
     plan = _plan_from_args(args)
     x = read_signal(args.infile, args.in_format)
-    counter = OpCounter()
-    folded = fold(x, plan, counter)
-    write_signal(folded.samples, args.outfile, args.out_format)
-    print(f"folded {plan.n} -> {plan.c} samples (complex_adds={counter.complex_adds})")
+    write_signal(fold(x, plan).samples, args.outfile, args.out_format)
+    print(f"folded {plan.n} -> {plan.c} samples (complex_adds={plan.c * (plan.l - 1)})")
     return 0
 
 
 def _cmd_transform(args, direction: Direction) -> int:
     plan = _plan_from_args(args)
     x = read_signal(args.infile, args.in_format)
-    counter = OpCounter()
-    spectrum = _ric(x, plan, direction, args.mode, counter)
-    write_spectrum(spectrum, args.outfile, args.out_format)
-    print(
-        f"{direction.value} transform at indices 0,{plan.l},..,{(plan.c - 1) * plan.l}"
-        f" (complex_adds={counter.complex_adds}, complex_mults={counter.complex_mults})"
-    )
+    write_spectrum(_ric(x, plan, direction, args.mode), args.outfile, args.out_format)
+    adds, mults = ric_op_counts(plan)
+    print(f"{direction.value} transform at indices 0,{plan.l},..,{(plan.c - 1) * plan.l}"
+          f" (complex_adds={adds}, complex_mults={mults})")
     return 0
 
 
@@ -104,17 +102,21 @@ def cmd_plan(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = BenchConfig(
-        n_list=tuple(_numbers(args.n_list, int)),
-        c_policy=args.c_policy,
-        c_list=tuple(_numbers(args.c_list, int)),
-        trials=args.trials,
-        seed=args.seed,
-        direct_limit=args.direct_limit,
-    )
-    report = run_benchmark(config)
-    emit_report(report, args.outfile, args.format)
-    print(f"wrote {len(report.rows)} rows to {args.outfile}")
+    ns = sorted(set(_numbers(args.n_list, int)))
+    if not ns:
+        raise RicdftError("--n-list names no length")
+    given = sorted(set(_numbers(args.c_list or "", int)))
+    rows = []  # every plan is checked before a line is printed
+    for n in ns:
+        cs = given or [1 << p for p in range(1, n.bit_length() - 1) if n % (1 << p) == 0]
+        if not cs:
+            raise RicdftError(f"n={n} has no power-of-two c in [2, n/2]; give --c-list")
+        for plan in (make_plan(n, c) for c in cs):
+            rows += [(n, plan.c, plan.l, "full", *op_counts(n)),
+                     (n, plan.c, plan.l, "ric", *ric_op_counts(plan))]
+    print("n,c,l,method,complex_adds,complex_mults")
+    for row in rows:
+        print(",".join(map(str, row)))
     return 0
 
 
@@ -129,7 +131,7 @@ def cmd_verify(args) -> int:
         x = rng.standard_normal(plan.n) + 1j * rng.standard_normal(plan.n)
     else:
         x = read_signal(args.infile, args.in_format)
-    got = _ric(x, plan, args.direction, args.mode, None).values
+    got = _ric(x, plan, args.direction, args.mode).values
     # --perturb corrupts the folded path only, so a large enough value must fail
     got = got + perturb * max(1.0, float(np.max(np.abs(got))))
     report = compare_values(got, _oracle(x, plan, args.direction, args.mode), tol)
@@ -199,15 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("bench", help="compare folded vs full-length transform costs")
+    p = sub.add_parser("bench", help="csv table of folded vs full-length operation counts")
     p.add_argument("--n-list", required=True, help="comma-separated lengths")
-    p.add_argument("--c-policy", choices=["all", "pow2", "explicit"], default="pow2")
-    p.add_argument("--c-list", default="", help="compressed lengths for --c-policy explicit")
-    p.add_argument("--trials", type=int, default=9)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--direct-limit", type=int, default=1024)
-    p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--format", choices=["csv", "json", "markdown"], default="csv")
+    p.add_argument("--c-list", help="comma-separated compressed lengths "
+                                    "(default: each power of two dividing n in [2, n/2])")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify", help="check the folded path against the direct transform")

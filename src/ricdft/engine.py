@@ -7,14 +7,15 @@ compare against: a direct quadratic DFT/IDFT for any length, whose row
 kernel also gives the oracle its c retained rows, and a self-sorting
 radix-2 FFT for power-of-two lengths.
 
-Twiddle factors come from one cached table per length M, entry r holding
-W_M**(-r) = exp(-2j*pi*r/M).  Exponents stay exact integers and are
-reduced modulo M before the table is indexed, so W_M**a == W_M**(a mod M)
-holds exactly even for huge exponents.  The direct row kernel splits
-j = j1 + B*j2 with B = isqrt(M), as Bailey's four-step FFT (1990) does,
-but with no inner FFT: per block of rows it multiplies W_M**(k*j1) by x
-read as a B x ceil(M/B) matrix in one BLAS product and reduces each row
-of that against W_M**(k*B*j2), 2*sqrt(M) table entries a row.  Every
+Twiddle factors come from one table per length M, entry r holding
+W_M**(-r) = exp(-2j*pi*r/M); the _TABLES most recently used stay cached.
+Exponents stay exact integers and are reduced modulo M before the table
+is indexed, so W_M**a == W_M**(a mod M) holds exactly even for huge
+exponents.  The direct row kernel splits j = j1 + B*j2 with B = isqrt(M),
+as Bailey's four-step FFT (1990) does, but with no inner FFT: per block of
+rows it multiplies W_M**(k*j1) by x read as a B x ceil(M/B) matrix in one
+BLAS product and reduces each row of that against W_M**(k*B*j2),
+2*sqrt(M) table entries a row, conjugated in place for the inverse.  Every
 path scales in one epilogue, ``_scaled``, by the :mod:`ricdft.core`
 factor at a given length (n for the pipeline and the oracle, whose sums
 are c of n rows).
@@ -32,11 +33,12 @@ multiplication, M*M in total, plus M*(M-1) complex additions.  The radix-2
 engine counts one complex multiplication and two complex additions per
 butterfly, i.e. (M/2)*log2(M) multiplications and M*log2(M) additions;
 trivial twiddles are multiplied and counted like any other.
-:func:`transform` tallies, in these closed forms, the reference engine of
-its length: radix-2 for a power of two, else direct.  Output scaling
-applied by a normalization mode is not counted.
+:func:`op_counts` gives, in these closed forms, the reference engine of a
+length: radix-2 for a power of two, else direct; :func:`transform` tallies
+it.  Output scaling applied by a normalization mode is not counted.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -44,9 +46,9 @@ import numpy as np
 from .core import (Direction, NormalizationMode, NotPowerOfTwoError, OpCounter, _member, _scale,
                    as_complex_sequence, is_power_of_two)
 
-# Per-length tables of W_M**(-r) for r = 0..M-1, built once and then
-# read-shared.  Inverse-direction values are exact conjugates.
-_tables: dict[int, np.ndarray] = {}
+# Twiddle tables kept at once, for an oracle length and a c-point length in
+# turn; building one is O(M) against the O(M * rows) of any kernel reading it.
+_TABLES = 2
 
 # Values of the larger twiddle matrix a block of the direct row kernel
 # aims at: 2**13 complex values, 128 KB, so that a block's three such
@@ -58,14 +60,27 @@ _BLOCK_CELLS = 1 << 13
 _DEPTH = 128
 
 
+@functools.lru_cache(maxsize=_TABLES)
 def twiddle_table(order: int) -> np.ndarray:
-    """Forward twiddle table: entry r holds exp(-2j*pi*r/order)."""
-    table = _tables.get(order)
-    if table is None:
-        table = np.exp(-2j * np.pi * np.arange(order) / order)
-        table.setflags(write=False)
-        _tables[order] = table
+    """Forward twiddle table, read-only: entry r holds exp(-2j*pi*r/order).
+
+    Inverse-direction values are its exact conjugates.
+    """
+    table = np.exp(-2j * np.pi * np.arange(order) / order)
+    table.setflags(write=False)
     return table
+
+
+def op_counts(m: int) -> tuple[int, int]:
+    """(complex_adds, complex_mults) of the reference engine at length m.
+
+    Radix-2 when m is a power of two, (m*log2(m), (m/2)*log2(m)); else
+    direct, (m*(m-1), m*m).  Exact integers at any m.
+    """
+    if is_power_of_two(m):
+        stages = m.bit_length() - 1
+        return m * stages, (m // 2) * stages
+    return m * (m - 1), m * m
 
 
 def dft_direct(
@@ -106,9 +121,12 @@ def _direct_rows(x: np.ndarray, rows: np.ndarray, direction: Direction) -> np.nd
     rounds differently).
     """
     m = len(x)
-    table = twiddle_table(m)
-    if direction is Direction.INVERSE:
-        table = table.conj()
+    table, inverse = twiddle_table(m), direction is Direction.INVERSE
+
+    def w(exponents):  # a gathered block, conjugated in place for the inverse
+        block = table[exponents % m]
+        return np.conjugate(block, out=block) if inverse else block
+
     b = math.isqrt(m)
     j1, bj2 = np.arange(b, dtype=np.int64), np.arange(0, m, b, dtype=np.int64)
     if m % b:
@@ -117,8 +135,8 @@ def _direct_rows(x: np.ndarray, rows: np.ndarray, direction: Direction) -> np.nd
     blocks = np.array_split(rows[:, None], max(1, len(rows) // max(2, _BLOCK_CELLS // len(bj2))))
     out = []
     for k in blocks:
-        p = sum(table[(k * j1[d:d + _DEPTH]) % m] @ xt[d:d + _DEPTH] for d in range(0, b, _DEPTH))
-        p *= table[(k * bj2) % m]
+        p = sum(w(k * j1[d:d + _DEPTH]) @ xt[d:d + _DEPTH] for d in range(0, b, _DEPTH))
+        p *= w(k * bj2)
         out.append(p.sum(axis=1))
     return np.concatenate(out)
 
@@ -169,21 +187,18 @@ def transform(
     """
     x = as_complex_sequence(x)
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
-    return _scaled(_fft(x, direction, counter), direction, mode, len(x))
-
-
-def _fft(x: np.ndarray, direction: Direction, counter: OpCounter | None) -> np.ndarray:
-    """Unscaled ``np.fft`` of a checked sequence, tallying its reference engine's closed form."""
-    m = len(x)
-    if direction is Direction.FORWARD:
-        y = np.fft.fft(x)
-    else:
-        y = np.fft.ifft(x, norm="forward")  # "forward" leaves the inverse unscaled
     if counter is not None:
-        pow2, stages = is_power_of_two(m), m.bit_length() - 1
-        counter.mul((m // 2) * stages if pow2 else m * m)
-        counter.add(m * stages if pow2 else m * (m - 1))
-    return y
+        adds, mults = op_counts(len(x))
+        counter.add(adds)
+        counter.mul(mults)
+    return _scaled(_fft(x, direction), direction, mode, len(x))
+
+
+def _fft(x: np.ndarray, direction: Direction) -> np.ndarray:
+    """Unscaled ``np.fft`` of a checked sequence."""
+    if direction is Direction.FORWARD:
+        return np.fft.fft(x)
+    return np.fft.ifft(x, norm="forward")  # "forward" leaves the inverse unscaled
 
 
 def _scaled(y: np.ndarray, direction: Direction, mode: NormalizationMode, m: int) -> np.ndarray:

@@ -8,6 +8,7 @@ the c sums, then one multiply by the mode's factor at length n, as the
 oracle does.  The unscaled c-point DFT of the fold is the unscaled n-point
 DFT at the retained indices, so nothing is scaled at length c
 (:func:`ricdft.core.correction_factor` relates the two lengths' scales).
+The cost of a call follows from its plan alone: :func:`ric_op_counts`.
 
 :func:`verify_against_oracle` re-derives the same coefficients from the
 definition at the c retained rows only, in O(n*c), and reports the
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Direction, LengthMismatchError, NormalizationMode, OpCounter, RicPlan,
-                   _complex_array, _member, _tolerance, as_complex_sequence)
-from .engine import _direct_rows, _fft, _scaled
+from .core import (Direction, LengthMismatchError, NormalizationMode, RicPlan, _complex_array,
+                   _member, _tolerance, as_complex_sequence)
+from .engine import _direct_rows, _fft, _scaled, op_counts
 from .fold import fold
 
 
@@ -45,13 +46,17 @@ def ric_index_set(plan: RicPlan) -> np.ndarray:
     return np.arange(plan.c, dtype=np.int64) * plan.l
 
 
-def _ric(
-    x,
-    plan: RicPlan,
-    direction: Direction,
-    mode: NormalizationMode,
-    counter: OpCounter | None,
-) -> RicSpectrum:
+def ric_op_counts(plan: RicPlan) -> tuple[int, int]:
+    """(complex_adds, complex_mults) of ric_dft or ric_idft under ``plan``.
+
+    The fold's c*(l-1) additions plus :func:`ricdft.engine.op_counts` of
+    the c-point transform; the scale at length n is not counted.
+    """
+    adds, mults = op_counts(plan.c)
+    return plan.c * (plan.l - 1) + adds, mults
+
+
+def _ric(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> RicSpectrum:
     """Fold, an unscaled c-point FFT in ``direction``, then the scale at length n.
 
     :func:`fold` validates x, its length and the c sums, once per call.
@@ -59,7 +64,7 @@ def _ric(
     spectrum records the member.
     """
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
-    values = _fft(fold(x, plan, counter).samples, direction, counter)
+    values = _fft(fold(x, plan).samples, direction)
     return RicSpectrum(
         indices=ric_index_set(plan),
         values=_scaled(values, direction, mode, plan.n),
@@ -69,28 +74,20 @@ def _ric(
     )
 
 
-def ric_dft(
-    x,
-    plan: RicPlan,
-    mode: NormalizationMode = NormalizationMode.NONE,
-    counter: OpCounter | None = None,
-) -> RicSpectrum:
+def ric_dft(x, plan: RicPlan, mode: NormalizationMode = NormalizationMode.NONE) -> RicSpectrum:
     """Forward path: values equal the full n-point DFT of x at indices k*L."""
-    return _ric(x, plan, Direction.FORWARD, mode, counter)
+    return _ric(x, plan, Direction.FORWARD, mode)
 
 
 def ric_idft(
-    spectrum,
-    plan: RicPlan,
-    mode: NormalizationMode = NormalizationMode.RECIPROCAL_N,
-    counter: OpCounter | None = None,
+    spectrum, plan: RicPlan, mode: NormalizationMode = NormalizationMode.RECIPROCAL_N
 ) -> RicSpectrum:
     """Inverse path: values equal the full n-point IDFT of the spectrum at n*L.
 
     The c-point FFT runs unscaled and the result is scaled once by the
     requested 1/n (or 1/sqrt(n)), never by 1/c.
     """
-    return _ric(spectrum, plan, Direction.INVERSE, mode, counter)
+    return _ric(spectrum, plan, Direction.INVERSE, mode)
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def verify_against_oracle(
     Passes iff max_rel_error <= tolerance; a bad tolerance raises first.
     """
     tolerance = _tolerance(tolerance)
-    got = _ric(x, plan, direction, mode, None).values
+    got = _ric(x, plan, direction, mode).values
     return compare_values(got, _oracle(x, plan, direction, mode), tolerance)
 
 

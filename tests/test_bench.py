@@ -1,129 +1,74 @@
+"""``ricdft bench``: the closed-form operation counts of each plan as a csv table."""
+
 import csv
-import json
+import io
 
-import pytest
+from ricdft import make_plan, op_counts, ric_op_counts
+from ricdft.cli import main
 
-from ricdft import BenchConfig, ConfigError, emit_report, run_benchmark
-
-
-def small_config(**overrides):
-    base = dict(n_list=(16,), c_policy="pow2", trials=3, seed=7)
-    base.update(overrides)
-    return BenchConfig(**base)
+HEADER = ["n", "c", "l", "method", "complex_adds", "complex_mults"]
 
 
-def test_fold_add_counts_exact():
-    report = run_benchmark(small_config(n_list=(8,), c_policy="explicit", c_list=(4,)))
-    ric_rows = [r for r in report.rows if r.method == "ric"]
-    assert len(ric_rows) == 1
-    row = ric_rows[0]
-    # fold contributes c*(l-1) = 4 adds on top of the engine's n*log2 tally
-    engine_adds = row.c * (row.c.bit_length() - 1)
-    assert row.complex_adds == row.c * (row.l - 1) + engine_adds
-    assert row.complex_mults == (row.c // 2) * (row.c.bit_length() - 1)
+def table(capsys, *argv):
+    """Rows of ``ricdft bench`` stdout, counts as ints."""
+    assert main(["bench", *map(str, argv)]) == 0
+    text = capsys.readouterr().out
+    assert text.splitlines()[0] == ",".join(HEADER)
+    rows = list(csv.DictReader(io.StringIO(text)))
+    for row in rows:
+        for key in ("n", "c", "l", "complex_adds", "complex_mults"):
+            row[key] = int(row[key])
+    return rows
 
 
-def test_all_methods_agree():
-    report = run_benchmark(small_config(n_list=(16, 24), c_policy="all"))
-    for row in report.rows:
-        assert row.max_rel_error <= 1e-9, row
+def test_fold_add_counts_exact(capsys):
+    rows = table(capsys, "--n-list", 8, "--c-list", 4)
+    # fold: c*(l-1) = 4 adds on top of the radix-2 engine's c*log2(c); full: n*log2(n)
+    assert rows == [
+        {"n": 8, "c": 4, "l": 2, "method": "full", "complex_adds": 24, "complex_mults": 12},
+        {"n": 8, "c": 4, "l": 2, "method": "ric", "complex_adds": 4 + 8, "complex_mults": 4},
+    ]
+    rows = table(capsys, "--n-list", 24, "--c-list", 6)  # direct counts at lengths 24 and 6
+    assert [(r["complex_adds"], r["complex_mults"]) for r in rows] == [(24 * 23, 24 * 24),
+                                                                       (6 * 3 + 6 * 5, 6 * 6)]
 
 
-def test_sic_point_multiplications_below_full_fft():
-    config = small_config(n_list=(2 ** 10,), c_policy="explicit", c_list=(2 ** 5,),
-                          direct_limit=0)
-    report = run_benchmark(config)
-    by_method = {r.method: r for r in report.rows}
-    assert by_method["ric"].complex_mults <= by_method["full"].complex_mults
+def test_sic_point_multiplications_below_full_fft(capsys):
+    for n in (2 ** 10, 24000):
+        rows = table(capsys, "--n-list", n, "--c-list", 2 ** 5)
+        by_method = {r["method"]: r for r in rows}
+        assert by_method["ric"]["complex_mults"] <= by_method["full"]["complex_mults"]
 
 
-def test_multiplications_grow_with_c():
-    report = run_benchmark(small_config(n_list=(256,), c_policy="pow2", direct_limit=0))
-    ric_rows = [r for r in report.rows if r.method == "ric"]
-    mults = [r.complex_mults for r in sorted(ric_rows, key=lambda r: r.c)]
+def test_multiplications_grow_with_c(capsys):
+    rows = table(capsys, "--n-list", 256)
+    assert [r["c"] for r in rows if r["method"] == "ric"] == [2, 4, 8, 16, 32, 64, 128]
+    mults = [r["complex_mults"] for r in rows if r["method"] == "ric"]
     assert mults == sorted(mults)
 
 
-def test_rows_sorted():
-    report = run_benchmark(small_config(n_list=(24, 16), c_policy="all"))
-    keys = [(r.n, r.c, r.method) for r in report.rows]
-    assert keys == sorted(keys)
+def test_rows_sorted(capsys):
+    rows = table(capsys, "--n-list", "24,16,24")
+    keys = [(r["n"], r["c"], r["method"]) for r in rows]
+    assert keys == sorted(keys) and len(keys) == len(set(keys))
 
 
-def test_determinism_of_counts_and_errors():
-    config = small_config(n_list=(64,))
-    a = run_benchmark(config)
-    b = run_benchmark(config)
-    strip = lambda rows: [(r.n, r.c, r.method, r.complex_adds, r.complex_mults, r.max_rel_error)
-                          for r in rows]
-    assert strip(a.rows) == strip(b.rows)
+def test_emit_csv_round_trip(capsys):
+    # every row is the library's closed form for its plan
+    rows = table(capsys, "--n-list", "64,24000", "--c-list", "2,32")
+    assert len(rows) == 8
+    for row in rows:
+        plan = make_plan(row["n"], row["c"])
+        assert row["l"] == plan.l
+        want = ric_op_counts(plan) if row["method"] == "ric" else op_counts(plan.n)
+        assert (row["complex_adds"], row["complex_mults"]) == want
 
 
-def test_config_errors():
-    with pytest.raises(ConfigError):
-        run_benchmark(small_config(trials=0))
-    with pytest.raises(ConfigError):
-        run_benchmark(small_config(n_list=()))
-    with pytest.raises(ConfigError):
-        run_benchmark(small_config(n_list=(15,), c_policy="pow2"))  # no pow2 divisor
-    with pytest.raises(ConfigError):
-        run_benchmark(small_config(n_list=(13,), c_policy="all"))  # prime
-    with pytest.raises(ConfigError):
-        run_benchmark(small_config(c_policy="explicit", c_list=()))
-    with pytest.raises(ConfigError):
-        run_benchmark(small_config(c_policy="explicit", c_list=(5,)))
-    with pytest.raises(ConfigError):
-        run_benchmark(small_config(c_policy="nonsense"))
-    with pytest.raises(ConfigError):
-        run_benchmark(small_config(n_list=(16.5,), trials=1))  # not an integer size
-    with pytest.raises(ConfigError):
-        run_benchmark(small_config(c_policy="explicit", c_list=(4.0,)))
-    # trials, seed and direct_limit follow the same integer size rule
-    for bad in (dict(seed=-1), dict(trials=2.5), dict(trials=True), dict(direct_limit="x")):
-        with pytest.raises(ConfigError):
-            run_benchmark(small_config(**bad))
-
-
-def test_emit_csv_round_trip(tmp_path):
-    report = run_benchmark(small_config())
-    path = tmp_path / "report.csv"
-    emit_report(report, path, "csv")
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == len(report.rows)
-    for got, want in zip(rows, report.rows):
-        assert int(got["n"]) == want.n
-        assert int(got["c"]) == want.c
-        assert got["method"] == want.method
-        assert int(got["complex_adds"]) == want.complex_adds
-        assert int(got["complex_mults"]) == want.complex_mults
-        assert float(got["max_rel_error"]) == want.max_rel_error
-
-
-def test_emit_json(tmp_path):
-    report = run_benchmark(small_config())
-    path = tmp_path / "report.json"
-    emit_report(report, path, "json")
-    doc = json.loads(path.read_text())
-    assert doc["seed"] == 7
-    assert doc["trials"] == 3
-    assert "note" in doc
-    assert len(doc["rows"]) == len(report.rows)
-    assert doc["rows"][0]["method"] == report.rows[0].method
-
-
-def test_emit_markdown(tmp_path):
-    report = run_benchmark(small_config())
-    path = tmp_path / "report.md"
-    emit_report(report, path, "markdown")
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("| n | c | l | method |")
-    assert lines[1].startswith("| ---")
-    # one data row per report row
-    assert sum(1 for line in lines[2:] if line.startswith("| ")) == len(report.rows)
-
-
-def test_emit_unknown_format(tmp_path):
-    report = run_benchmark(small_config())
-    with pytest.raises(ConfigError):
-        emit_report(report, tmp_path / "x", "yaml")
+def test_config_errors(capsys):
+    for argv in (["--n-list", "15"],  # no power-of-two divisor in [2, n/2]
+                 ["--n-list", "13"], ["--n-list", ","], ["--n-list", "16.5"],
+                 ["--n-list", "16", "--c-list", "5"], ["--n-list", "16", "--c-list", "16"],
+                 ["--n-list", "16", "--c-list", "4.0"], ["--n-list", "-16"]):
+        assert main(["bench", *argv]) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: "), argv

@@ -180,25 +180,37 @@ def test_verify_inverse_direction():
                "--direction", "inverse", "--mode", "recip-n") == 0
 
 
-def test_bench_cli(tmp_path, capsys):
-    out = tmp_path / "report.csv"
-    assert run("bench", "--n-list", "16", "--c-policy", "pow2", "--trials", 3,
-               "--seed", 1, "--out", out) == 0
-    text = out.read_text()
-    assert text.startswith("n,c,l,method")
-    # identical seeds give identical count columns
-    out2 = tmp_path / "report2.csv"
-    assert run("bench", "--n-list", "16", "--c-policy", "pow2", "--trials", 3,
-               "--seed", 1, "--out", out2) == 0
-    cols = lambda path: [line.split(",")[:6] for line in path.read_text().splitlines()]
-    assert cols(out) == cols(out2)
+def test_bench_cli(capsys):
+    assert run("bench", "--n-list", "16") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n,c,l,method,complex_adds,complex_mults"
+    # one full and one ric row for each power-of-two c in [2, n/2]
+    assert [line.split(",")[1:4] for line in lines[1:]] == [
+        [str(c), str(16 // c), method] for c in (2, 4, 8) for method in ("full", "ric")]
+    # the counts are a function of the plan: a second run prints the same table
+    assert run("bench", "--n-list", "16") == 0
+    assert capsys.readouterr().out.splitlines() == lines
 
 
-def test_bench_bad_grid(tmp_path):
-    assert run("bench", "--n-list", "13", "--c-policy", "all",
-               "--out", tmp_path / "r.csv") == 2
-    assert run("bench", "--n-list", "16", "--trials", 0,
-               "--out", tmp_path / "r.csv") == 2
+def test_bench_bad_grid(capsys):
+    assert run("bench", "--n-list", "13") == 2
+    assert run("bench", "--n-list", "16", "--c-list", "3") == 2
+    assert capsys.readouterr().out == ""  # nothing printed before the error
+
+
+def test_bench_huge_n_counts_without_allocation():
+    # n = 2**53 needs no signal: the table is exact integers, printed at once
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ricdft.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ricdft", "bench", "--n-list", str(2 ** 53), "--c-list", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    n = 2 ** 53
+    assert proc.stdout.splitlines()[1:] == [
+        f"{n},2,{n // 2},full,{n * 53},{n // 2 * 53}",
+        f"{n},2,{n // 2},ric,{2 * (n // 2 - 1) + 2},1",
+    ]
 
 
 def test_synth_roundtrip(tmp_path):
@@ -228,7 +240,7 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["bench", "--n-list", "abc", "--out", "{tmp}/r.csv"], 2),
+    (["bench", "--n-list", "abc"], 2),
     (["plan", "--sample-rate", "800", "--targets", "100,x", "--max-n", "64"], 2),
     (["synth", "--n", "16", "--tone", "2:nan", "--out", "{tmp}/t.csv"], 2),
     (["dft", "--in", "{tmp}/x.csv", "--out", "{tmp}/s.csv", "--n", "16", "--c", "4"], 2),
@@ -236,22 +248,22 @@ def test_usage_error_exit_code():
     (["verify", "--random", "--n", "16", "--c", "4", "--tol", "-1"], 2),
     (["plan", "--sample-rate", "800", "--targets", "100", "--max-n", "64", "--tol", "nan"], 2),
     (["verify", "--random", "--n", "16", "--c", "4", "--seed", "-1"], 2),
-    (["bench", "--n-list", "16", "--seed", "-1", "--out", "{tmp}/r.csv"], 2),
+    (["bench", "--n-list", "16", "--c-list", "5"], 2),
     (["plan", "--sample-rate", "800", "--targets", "100,nan", "--max-n", "64"], 2),
     # n = 2**53: a 64 PiB array, beyond any user address space, so numpy refuses it at once
     (["verify", "--random", "--n", str(2 ** 53), "--c", "2"], 2),
     (["synth", "--n", str(2 ** 53), "--tone", "1:1", "--out", "{tmp}/t.csv"], 2),
-    (["bench", "--n-list", str(2 ** 53), "--c-policy", "explicit", "--c-list", "2",
-      "--trials", "1", "--out", "{tmp}/r.csv"], 2),
+    (["bench", "--n-list", "16", "--c-list", "16"], 2),
+    (["bench", "--n-list", "15"], 2),
     (["dft", "--in", "{tmp}/b.csv", "--out", "{tmp}/o.csv", "--n", "4", "--c", "2"], 3),
     (["verify", "--random", "--n", "16", "--c", "4", "--perturb", "nan"], 2),
     (["verify", "--random", "--n", "16", "--c", "4", "--perturb", "inf"], 2),
     (["verify", "--random", "--in", "{tmp}/x.csv", "--n", "8", "--c", "4"], 2),
 ], ids=["bench-bad-list", "plan-bad-target", "synth-nan-amp", "dft-wrong-length",
         "verify-nan-tol", "verify-negative-tol", "plan-nan-tol", "verify-negative-seed",
-        "bench-negative-seed", "plan-nan-target", "verify-huge-n", "synth-huge-n",
-        "bench-huge-n", "dft-not-utf8", "verify-nan-perturb", "verify-inf-perturb",
-        "verify-in-and-random"])
+        "bench-non-divisor", "plan-nan-target", "verify-huge-n", "synth-huge-n",
+        "bench-c-above-half", "bench-no-pow2-c", "dft-not-utf8", "verify-nan-perturb",
+        "verify-inf-perturb", "verify-in-and-random"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, code):
     write_signal(GOLDEN_X, tmp_path / "x.csv")  # 8 samples: wrong length for n = 16
     (tmp_path / "b.csv").write_bytes(b"\xff\xfe1,2\n1,2\n1,2\n1,2\n")  # not UTF-8

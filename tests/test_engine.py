@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 
@@ -110,19 +111,21 @@ def test_direct_rows_error_against_npfft_at_2_18(c):
 
 
 def test_direct_rows_block_memory():
-    # blocks of three 128 KB matrices: at most 4 MiB beyond one n-point copy of x,
-    # which is padded when isqrt(n) does not divide n; the table is built first
-    for n, c in ((4096, 512), (1 << 18, 4096)):
+    # blocks of three 128 KB matrices: at most 4 MiB, plus one n-point copy of x
+    # when isqrt(n) does not divide n and x is padded; the table is built first,
+    # and no direction copies it (16 MiB at n = 2**20)
+    cases = ((4096, 512), (24000, 3000), (1 << 18, 4096), (1 << 20, 1024))
+    for (n, c), direction in itertools.product(cases, (F, I)):
         x = random_complex(np.random.default_rng(7), n)
         rows = np.arange(c, dtype=np.int64) * (n // c)
         twiddle_table(n)
         tracemalloc.start()
         try:
-            engine._direct_rows(x, rows, F)
+            engine._direct_rows(x, rows, direction)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (4 << 20) + x.nbytes, (n, c, peak)
+        assert peak < (4 << 20) + (x.nbytes if n % math.isqrt(n) else 0), (n, c, direction, peak)
 
 
 def test_fft_length_one_and_golden():
@@ -168,12 +171,27 @@ def test_fft_matches_numpy_every_pow2_length_to_2_17(direction, mode):
         assert err <= 1e-12, (q, err)
 
 
-def test_fft_reads_only_the_table_of_its_length(monkeypatch):
-    monkeypatch.setattr(engine, "_tables", {})
+def test_fft_reads_only_the_table_of_its_length():
+    twiddle_table.cache_clear()
     x = random_complex(np.random.default_rng(30), 1024)
     fft_radix2(x, F)
     fft_radix2(x, I)
-    assert list(engine._tables) == [1024]
+    info = twiddle_table.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert twiddle_table(1024) is twiddle_table(1024)
+
+
+def test_twiddle_cache_is_bounded():
+    twiddle_table.cache_clear()
+    maxsize = twiddle_table.cache_info().maxsize
+    assert maxsize == engine._TABLES
+    for m in range(2, 3 * maxsize):
+        table = twiddle_table(m)
+        assert not table.flags.writeable
+        x = random_complex(np.random.default_rng(m), m)
+        engine._direct_rows(x, np.arange(m, dtype=np.int64), I)
+        assert twiddle_table.cache_info().currsize <= maxsize
+    assert twiddle_table.cache_info().currsize == maxsize
 
 
 @pytest.mark.parametrize("engine_fn", [fft_radix2, dft_direct, transform])
@@ -226,10 +244,10 @@ def test_transform_is_one_path_with_reference_counts():
             for ref in refs:
                 err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
                 assert err <= 1e-12, (m, direction, mode, err)
-            # the counted engine that runs at this length, not the closed form again
+            # the counted engine that runs at this length pins the closed form
             want_ctr = radix2_ctr if is_power_of_two(m) else direct_ctr
-            assert (got_ctr.complex_adds, got_ctr.complex_mults) == (
-                want_ctr.complex_adds, want_ctr.complex_mults), (m, got_ctr, want_ctr)
+            want = (want_ctr.complex_adds, want_ctr.complex_mults)
+            assert (got_ctr.complex_adds, got_ctr.complex_mults) == want == engine.op_counts(m), m
 
 
 def test_round_trips():
