@@ -64,6 +64,18 @@ def test_emit_csv_round_trip(capsys):
         assert (row["complex_adds"], row["complex_mults"]) == want
 
 
+def test_determinism_of_counts_and_errors(capsys):
+    # counts are a function of the plan, so two runs print the same table ...
+    argv = ("--n-list", "64,24", "--c-list", "2,8")
+    assert table(capsys, *argv) == table(capsys, *argv)
+    # ... and a bad grid is refused with the same message each time
+    errors = []
+    for _ in range(2):
+        assert main(["bench", "--n-list", "16", "--c-list", "5"]) == 2
+        errors.append(capsys.readouterr())
+    assert errors[0] == errors[1] and errors[0].err.startswith("error: ")
+
+
 def test_config_errors(capsys):
     for argv in (["--n-list", "15"],  # no power-of-two divisor in [2, n/2]
                  ["--n-list", "13"], ["--n-list", ","], ["--n-list", "16.5"],
