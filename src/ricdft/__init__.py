@@ -23,7 +23,6 @@ from .core import (
     correction_factor,
     is_power_of_two,
     make_plan,
-    plan_from_exponents,
 )
 from .engine import dft_direct, fft_radix2, op_counts, transform, twiddle_table
 from .fold import FoldedSequence, fold, fold_spectrum
@@ -86,7 +85,6 @@ __all__ = [
     "make_plan",
     "op_counts",
     "plan_for_frequencies",
-    "plan_from_exponents",
     "read_signal",
     "ric_dft",
     "ric_idft",

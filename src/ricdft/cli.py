@@ -1,5 +1,6 @@
 """Command-line surface: compress, dft, idft, plan, bench, verify, synth.
 
+Plans are --n/--c; verify prints the report of verify_against_oracle.
 Operation counts, printed by compress, dft and idft and tabulated by
 bench, come from the plan's closed form; nothing is timed or tallied.
 
@@ -15,28 +16,18 @@ import sys
 
 import numpy as np
 
-from .core import (Direction, NormalizationMode, RicdftError, _real, _size, _tolerance, make_plan,
-                   plan_from_exponents)
+from .core import Direction, NormalizationMode, OutOfRangeError, RicdftError, _size, make_plan
 from .engine import op_counts
 from .fold import fold
-from .io import SignalFileError, read_signal, synthesize_tones, write_signal, write_spectrum
+from .io import (SignalFileError, SignalFormat, read_signal, synthesize_tones, write_signal,
+                 write_spectrum)
 from .planner import InfeasibleError, plan_for_frequencies
-from .ric import _oracle, _ric, compare_values, ric_op_counts
+from .ric import ric_dft, ric_idft, ric_op_counts, verify_against_oracle
 
 
 def _add_plan_flags(sub):
-    sub.add_argument("--n", type=int, help="total length (with --c)")
-    sub.add_argument("--c", type=int, help="compressed length (with --n)")
-    sub.add_argument("--q", type=int, help="log2 of total length (with --p)")
-    sub.add_argument("--p", type=int, help="log2 of compressed length (with --q)")
-
-
-def _plan_from_args(args):
-    if args.n is not None and args.c is not None and args.q is None and args.p is None:
-        return make_plan(args.n, args.c)
-    if args.q is not None and args.p is not None and args.n is None and args.c is None:
-        return plan_from_exponents(args.q, args.p)
-    raise RicdftError("give either --n and --c, or --q and --p")
+    sub.add_argument("--n", type=int, required=True, help="total length")
+    sub.add_argument("--c", type=int, required=True, help="compressed length, a divisor of n")
 
 
 def _numbers(text: str, kind) -> list:
@@ -48,29 +39,21 @@ def _numbers(text: str, kind) -> list:
 
 
 def cmd_compress(args) -> int:
-    plan = _plan_from_args(args)
+    plan = make_plan(args.n, args.c)
     x = read_signal(args.infile, args.in_format)
     write_signal(fold(x, plan).samples, args.outfile, args.out_format)
     print(f"folded {plan.n} -> {plan.c} samples (complex_adds={plan.c * (plan.l - 1)})")
     return 0
 
 
-def _cmd_transform(args, direction: Direction) -> int:
-    plan = _plan_from_args(args)
-    x = read_signal(args.infile, args.in_format)
-    write_spectrum(_ric(x, plan, direction, args.mode), args.outfile, args.out_format)
+def cmd_transform(args) -> int:
+    plan = make_plan(args.n, args.c)
+    spectrum = args.ric(read_signal(args.infile, args.in_format), plan, args.mode)
+    write_spectrum(spectrum, args.outfile, args.out_format)
     adds, mults = ric_op_counts(plan)
-    print(f"{direction.value} transform at indices 0,{plan.l},..,{(plan.c - 1) * plan.l}"
+    print(f"{spectrum.direction.value} transform at indices 0,{plan.l},..,{(plan.c - 1) * plan.l}"
           f" (complex_adds={adds}, complex_mults={mults})")
     return 0
-
-
-def cmd_dft(args) -> int:
-    return _cmd_transform(args, Direction.FORWARD)
-
-
-def cmd_idft(args) -> int:
-    return _cmd_transform(args, Direction.INVERSE)
 
 
 def cmd_plan(args) -> int:
@@ -121,20 +104,18 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    plan = _plan_from_args(args)
-    tol = _tolerance(args.tol)  # before the folded path and the O(n*c) oracle run
-    perturb = _real("perturb", args.perturb)
+    plan = make_plan(args.n, args.c)
     if args.random == (args.infile is not None):  # neither or both
         raise RicdftError("give either --in FILE or --random, not both")
     if args.random:
         rng = np.random.default_rng(_size("seed", args.seed))
-        x = rng.standard_normal(plan.n) + 1j * rng.standard_normal(plan.n)
+        try:
+            x = rng.standard_normal(plan.n) + 1j * rng.standard_normal(plan.n)
+        except ValueError:  # numpy: n * itemsize overflows its size type ("array is too big")
+            raise OutOfRangeError(f"n={plan.n} is too large to allocate") from None
     else:
         x = read_signal(args.infile, args.in_format)
-    got = _ric(x, plan, args.direction, args.mode).values
-    # --perturb corrupts the folded path only, so a large enough value must fail
-    got = got + perturb * max(1.0, float(np.max(np.abs(got))))
-    report = compare_values(got, _oracle(x, plan, args.direction, args.mode), tol)
+    report = verify_against_oracle(x, plan, args.mode, args.direction, args.tol)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} max_abs_error={report.max_abs_error!r} "
           f"max_rel_error={report.max_rel_error!r} tolerance={report.tolerance!r}")
@@ -170,26 +151,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "by folding the input to c points first.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    formats = [f.value for f in SignalFormat]
 
     p = sub.add_parser("compress", help="fold an n-point signal to c column sums")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
     _add_plan_flags(p)
-    p.add_argument("--in-format", choices=["csv", "raw-f64"], default="csv")
-    p.add_argument("--out-format", choices=["csv", "raw-f64"], default="csv")
+    p.add_argument("--in-format", choices=formats, default="csv")
+    p.add_argument("--out-format", choices=formats, default="csv")
     p.set_defaults(func=cmd_compress)
 
-    for name, helptext in [("dft", "forward transform at the retained indices"),
-                           ("idft", "inverse transform at the retained indices")]:
+    for name, ric, helptext in [("dft", ric_dft, "forward transform at the retained indices"),
+                                ("idft", ric_idft, "inverse transform at the retained indices")]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", dest="outfile", required=True)
         _add_plan_flags(p)
         p.add_argument("--mode", choices=[m.value for m in NormalizationMode],
                        default="none" if name == "dft" else "recip-n")
-        p.add_argument("--in-format", choices=["csv", "raw-f64"], default="csv")
+        p.add_argument("--in-format", choices=formats, default="csv")
         p.add_argument("--out-format", choices=["csv", "json"], default="csv")
-        p.set_defaults(func=cmd_dft if name == "dft" else cmd_idft)
+        p.set_defaults(func=cmd_transform, ric=ric)
 
     p = sub.add_parser("plan", help="choose (n, c) so targets land on retained bins")
     p.add_argument("--sample-rate", type=float, required=True)
@@ -215,9 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", choices=[d.value for d in Direction], default="forward")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--perturb", type=float, default=0.0,
-                   help="inject this much absolute error into the folded path")
-    p.add_argument("--in-format", choices=["csv", "raw-f64"], default="csv")
+    p.add_argument("--in-format", choices=formats, default="csv")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("synth", help="synthesize a sum of complex tones")
@@ -225,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tone", action="append", required=True,
                    help="BIN:AMP or BIN:AMP:PHASE, repeatable")
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--out-format", choices=["csv", "raw-f64"], default="csv")
+    p.add_argument("--out-format", choices=formats, default="csv")
     p.set_defaults(func=cmd_synth)
 
     return parser

@@ -152,14 +152,6 @@ def make_plan(n: int, c: int) -> RicPlan:
     return RicPlan(n, c)
 
 
-def plan_from_exponents(q: int, p: int) -> RicPlan:
-    """Build the power-of-two plan with n = 2**q and c = 2**p, p in [1, q-1]."""
-    q, p = _size("q", q, 2), _size("p", p)
-    if not (1 <= p <= q - 1):
-        raise OutOfRangeError(f"p={p} outside [1, {q - 1}]")
-    return RicPlan(2 ** q, 2 ** p)
-
-
 # ---------------------------------------------------------------------------
 # Normalization
 # ---------------------------------------------------------------------------

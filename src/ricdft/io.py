@@ -177,16 +177,23 @@ def synthesize_tones(n: int, tones) -> np.ndarray:
 
     n is an integer size (Python or numpy integer, not bool or float).
     ``tones`` is an iterable of (bin, amplitude, phase) with integer bins
-    in [0, n-1] and finite amplitude and phase, else OutOfRangeError.  Bin*index
-    products are reduced mod n, keeping every sample accurate to machine precision.
+    in [0, n-1] and finite amplitude and phase, else OutOfRangeError, as is an n
+    too large to allocate or a sum that overflows.  Bin*index products are
+    reduced mod n, keeping every sample accurate to machine precision.
     """
     n = _size("n", n, 1)
-    m = np.arange(n, dtype=np.int64)
-    x = np.zeros(n, dtype=np.complex128)
+    try:
+        m = np.arange(n, dtype=np.int64)
+        x = np.zeros(n, dtype=np.complex128)
+    except ValueError:  # numpy: n * itemsize overflows its size type ("array is too big")
+        raise OutOfRangeError(f"n={n} is too large to allocate") from None
     for bin_idx, amp, phase in tones:
         bin_idx, amp, phase = _size("tone bin", bin_idx), _real("amplitude", amp), _real("phase", phase)
         if bin_idx >= n:
             raise OutOfRangeError(f"tone bin {bin_idx} outside [0, {n - 1}]")
         angle = 2.0 * np.pi * ((bin_idx * m) % n) / n + phase
-        x += amp * np.exp(1j * angle)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x += amp * np.exp(1j * angle)
+    if not np.all(np.isfinite(x)):  # complex: both parts finite
+        raise OutOfRangeError("the tones' sum overflows to a non-finite sample")
     return x

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Direction, LengthMismatchError, NormalizationMode, RicPlan, _complex_array,
-                   _member, _tolerance, as_complex_sequence)
+                   _member, _tolerance)
 from .engine import _direct_rows, _fft, _scaled, op_counts
 from .fold import fold
 
@@ -139,6 +139,8 @@ def verify_against_oracle(
     Passes iff max_rel_error <= tolerance; a bad tolerance raises first.
     """
     tolerance = _tolerance(tolerance)
+    x = _complex_array(x)
+    direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
     got = _ric(x, plan, direction, mode).values
     return compare_values(got, _oracle(x, plan, direction, mode), tolerance)
 
@@ -149,9 +151,7 @@ def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> 
     Rows k*L of the n-point direct transform, scaled at length n, from the
     matrix-product row kernel of :func:`dft_direct` and so its rows bit for
     bit; the fold, the c-point FFT and W_n**(l*m) = W_c**m go unused.
+    Checks nothing: the fold has accepted x (its length, and a NaN/Inf
+    sample through its column sum) and direction and mode are members.
     """
-    x = as_complex_sequence(x)
-    if len(x) != plan.n:
-        raise LengthMismatchError(f"sequence has {len(x)} samples, plan expects {plan.n}")
-    direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
     return _scaled(_direct_rows(x, ric_index_set(plan), direction), direction, mode, plan.n)

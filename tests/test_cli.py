@@ -8,7 +8,7 @@ import pytest
 
 import ricdft
 import ricdft.cli
-from ricdft import read_signal, write_signal
+from ricdft import make_plan, read_signal, verify_against_oracle, write_signal
 from ricdft.cli import main
 
 from helpers import GOLDEN_FOLD, GOLDEN_FORWARD, GOLDEN_INVERSE_N, GOLDEN_X
@@ -37,20 +37,17 @@ def test_compress_zeros_and_length_mismatch(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_compress_exponent_flags(tmp_path):
-    src = tmp_path / "x.csv"
-    dst = tmp_path / "xhat.csv"
-    write_signal(GOLDEN_X, src)
-    assert run("compress", "--in", src, "--out", dst, "--q", 3, "--p", 2) == 0
-    np.testing.assert_array_equal(read_signal(dst), GOLDEN_FOLD)
-
-
 def test_plan_flags_must_be_consistent(tmp_path):
-    src = tmp_path / "x.csv"
+    # plans are --n and --c only: a missing --c, or a removed flag, is a usage error
+    src, dst = tmp_path / "x.csv", tmp_path / "o.csv"
     write_signal(GOLDEN_X, src)
-    assert run("compress", "--in", src, "--out", tmp_path / "o.csv", "--n", 8) == 2
-    assert run("compress", "--in", src, "--out", tmp_path / "o.csv",
-               "--n", 8, "--c", 4, "--q", 3, "--p", 2) == 2
+    for argv in (("compress", "--in", src, "--out", dst, "--n", 8),
+                 ("compress", "--in", src, "--out", dst, "--n", 8, "--c", 4, "--q", 3),
+                 ("compress", "--in", src, "--out", dst, "--n", 8, "--c", 4, "--p", 2),
+                 ("verify", "--in", src, "--n", 8, "--c", 4, "--perturb", "1e-3")):
+        with pytest.raises(SystemExit) as excinfo:
+            run(*argv)
+        assert excinfo.value.code == 2
 
 
 def test_missing_input_file(tmp_path):
@@ -153,20 +150,30 @@ def test_verify_golden_example(tmp_path):
 def test_verify_random_and_perturb(capsys):
     assert run("verify", "--random", "--n", 64, "--c", 8, "--seed", 5) == 0
     assert "PASS" in capsys.readouterr().out
-    assert run("verify", "--random", "--n", 64, "--c", 8, "--seed", 5,
-               "--perturb", "1e-3") == 1
-    assert "FAIL" in capsys.readouterr().out
+    # max_rel_error is about 3e-16 here, so a zero tolerance takes the failure path
+    assert run("verify", "--random", "--n", 64, "--c", 8, "--seed", 5, "--tol", 0) == 1
+    assert capsys.readouterr().out.startswith("FAIL ")
+
+
+def test_verify_prints_the_report_of_verify_against_oracle(capsys):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    for direction in ("forward", "inverse"):
+        report = verify_against_oracle(x, make_plan(64, 8), "none", direction)
+        assert run("verify", "--random", "--n", 64, "--c", 8, "--seed", 5,
+                   "--direction", direction) == 0
+        assert capsys.readouterr().out == (f"PASS max_abs_error={report.max_abs_error!r} max_rel_error="
+                       f"{report.max_rel_error!r} tolerance={report.tolerance!r}\n"), direction
 
 
 def test_verify_checks_tolerance_before_any_transform(monkeypatch, capsys):
     def transform(*args, **kwargs):
         raise AssertionError("a transform ran before the tolerance was checked")
 
-    monkeypatch.setattr(ricdft.cli, "_oracle", transform)
-    monkeypatch.setattr(ricdft.cli, "_ric", transform)
-    for extra in ((), ("--perturb", "1e-3")):
-        assert run("verify", "--random", "--n", 64, "--c", 8, "--tol", "nan", *extra) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+    monkeypatch.setattr(ricdft.ric, "_oracle", transform)
+    monkeypatch.setattr(ricdft.ric, "_ric", transform)
+    assert run("verify", "--random", "--n", 64, "--c", 8, "--tol", "nan") == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_verify_zeros(tmp_path):
@@ -256,14 +263,16 @@ def test_usage_error_exit_code():
     (["bench", "--n-list", "16", "--c-list", "16"], 2),
     (["bench", "--n-list", "15"], 2),
     (["dft", "--in", "{tmp}/b.csv", "--out", "{tmp}/o.csv", "--n", "4", "--c", "2"], 3),
-    (["verify", "--random", "--n", "16", "--c", "4", "--perturb", "nan"], 2),
-    (["verify", "--random", "--n", "16", "--c", "4", "--perturb", "inf"], 2),
     (["verify", "--random", "--in", "{tmp}/x.csv", "--n", "8", "--c", "4"], 2),
+    # n = 2**62: n * 16 bytes overflows numpy's size type, which it reports as ValueError
+    (["synth", "--n", str(2 ** 62), "--tone", "1:1", "--out", "{tmp}/t.csv"], 2),
+    (["verify", "--random", "--n", str(2 ** 62), "--c", "2"], 2),
+    (["synth", "--n", "8", "--tone", "1:1e308", "--tone", "1:1e308", "--out", "{tmp}/t.csv"], 2),
 ], ids=["bench-bad-list", "plan-bad-target", "synth-nan-amp", "dft-wrong-length",
         "verify-nan-tol", "verify-negative-tol", "plan-nan-tol", "verify-negative-seed",
         "bench-non-divisor", "plan-nan-target", "verify-huge-n", "synth-huge-n",
-        "bench-c-above-half", "bench-no-pow2-c", "dft-not-utf8", "verify-nan-perturb",
-        "verify-inf-perturb", "verify-in-and-random"])
+        "bench-c-above-half", "bench-no-pow2-c", "dft-not-utf8", "verify-in-and-random",
+        "synth-unallocatable-n", "verify-unallocatable-n", "synth-overflow"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, code):
     write_signal(GOLDEN_X, tmp_path / "x.csv")  # 8 samples: wrong length for n = 16
     (tmp_path / "b.csv").write_bytes(b"\xff\xfe1,2\n1,2\n1,2\n1,2\n")  # not UTF-8

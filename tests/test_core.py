@@ -15,7 +15,6 @@ from ricdft import (
     correction_factor,
     fold,
     make_plan,
-    plan_from_exponents,
 )
 
 from helpers import divisor_pairs, naive_fold
@@ -67,29 +66,10 @@ def test_ric_plan_checks_itself():
     assert all(type(v) is int for v in (plan.n, plan.c, plan.l))
 
 
-def test_plan_from_exponents():
-    assert plan_from_exponents(3, 2) == make_plan(8, 4)
-    assert plan_from_exponents(4, 2) == make_plan(16, 4)
-    for q in range(2, 9):
-        for p in range(1, q):
-            assert plan_from_exponents(q, p) == make_plan(2 ** q, 2 ** p)
-
-
-def test_plan_from_exponents_errors():
-    with pytest.raises(OutOfRangeError):
-        plan_from_exponents(4, 4)
-    with pytest.raises(OutOfRangeError):
-        plan_from_exponents(4, 0)
-    with pytest.raises(OutOfRangeError):
-        plan_from_exponents(1, 1)
-
-
 def test_make_plan_rejects_non_integral_sizes():
     for n, c in ((8.5, 2), (8, 2.5), (8.0, 2), ("8", 2)):
         with pytest.raises(OutOfRangeError):
             make_plan(n, c)
-    with pytest.raises(OutOfRangeError):
-        plan_from_exponents(3.5, 2)
 
 
 def test_make_plan_rejects_bool_sizes():

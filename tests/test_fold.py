@@ -12,6 +12,7 @@ from ricdft import (
     make_plan,
     ric_dft,
     ric_idft,
+    verify_against_oracle,
 )
 
 from helpers import GOLDEN_FOLD, GOLDEN_X, divisor_pairs, naive_fold, random_complex
@@ -148,7 +149,8 @@ def test_fold_length_mismatch():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fold_rejects_non_finite():
     # finiteness is checked on the c column sums; every NaN/Inf must reach
-    # them, and a rejected input raises the typed error and no numpy warning
+    # them, and a rejected input raises the typed error and no numpy warning;
+    # verify_against_oracle relies on it, as its oracle checks nothing
     n = 24
     cases = []
     for bad in (math.nan, math.inf, -math.inf):
@@ -164,7 +166,7 @@ def test_fold_rejects_non_finite():
     cases.append((np.full(8, 1e308), 4))  # finite samples, overflowing sum
     for x, c in cases:
         plan = make_plan(len(x), c)
-        for fn in (fold, ric_dft, ric_idft):
+        for fn in (fold, ric_dft, ric_idft, verify_against_oracle):
             with pytest.raises(SequenceError):
                 fn(x, plan)
 

@@ -206,6 +206,14 @@ def test_synthesize_rejects_bad_tones(tone):
         synthesize_tones(8, [tone])
 
 
+def test_synthesize_rejects_an_overflowing_sum_and_an_unallocatable_n():
+    # each tone is finite, their sum is not: no RuntimeWarning, a typed error
+    with pytest.raises(OutOfRangeError):
+        synthesize_tones(8, [(1, 1e308, 0.0), (1, 1e308, 0.0)])
+    with pytest.raises(OutOfRangeError):  # numpy cannot even size 2**62 samples
+        synthesize_tones(2 ** 62, [(1, 1.0, 0.0)])
+
+
 def test_synthesize_bin_out_of_range():
     with pytest.raises(OutOfRangeError):
         synthesize_tones(8, [(8, 1.0, 0.0)])

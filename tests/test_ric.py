@@ -273,9 +273,15 @@ def test_oracle_is_independent_of_the_fast_path(monkeypatch):
         assert ricdft.ric._oracle(x, plan, F, UNITARY).tobytes() == values.tobytes()
 
 
-def test_oracle_rejects_a_sequence_of_the_wrong_length():
-    with pytest.raises(LengthMismatchError):
-        ricdft.ric._oracle(np.ones(12), make_plan(8, 4), F, NONE)
+def test_oracle_rejects_a_sequence_of_the_wrong_length(monkeypatch):
+    # the fold rejects it, so the oracle, which checks nothing, never runs
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran on a sequence of the wrong length")
+
+    monkeypatch.setattr(ricdft.ric, "_oracle", oracle)
+    for direction in (F, I):
+        with pytest.raises(LengthMismatchError):
+            verify_against_oracle(np.ones(12), make_plan(8, 4), NONE, direction)
 
 
 @pytest.mark.parametrize("n, c", [(2 ** 16, 16), (24_000, 12)])
