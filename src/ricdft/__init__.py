@@ -3,9 +3,9 @@
 Fold an n-point sequence to c column sums (c*(l-1) complex additions, no
 multiplications), transform the c points, and the results equal the full
 n-point transform at indices 0, l, 2l, ..., (c-1)l.  The package bundles
-the fold, the transform with its direct and radix-2 references, the
-end-to-end pipeline with normalization corrections, the closed-form
-operation counts of a plan, a frequency planner and file formats.
+the fold, the transform with its direct reference, the end-to-end
+pipeline with normalization corrections, the closed-form operation
+counts of a plan, a frequency planner and file formats.
 """
 
 from .core import (
@@ -13,7 +13,6 @@ from .core import (
     LengthMismatchError,
     NonDivisorError,
     NormalizationMode,
-    NotPowerOfTwoError,
     OpCounter,
     OutOfRangeError,
     RicdftError,
@@ -24,7 +23,7 @@ from .core import (
     is_power_of_two,
     make_plan,
 )
-from .engine import dft_direct, fft_radix2, op_counts, transform, twiddle_table
+from .engine import dft_direct, op_counts, transform
 from .fold import FoldedSequence, fold, fold_spectrum
 from .io import (
     SignalFileError,
@@ -62,7 +61,6 @@ __all__ = [
     "LengthMismatchError",
     "NonDivisorError",
     "NormalizationMode",
-    "NotPowerOfTwoError",
     "OpCounter",
     "OutOfRangeError",
     "PlanProposal",
@@ -78,7 +76,6 @@ __all__ = [
     "correction_factor",
     "coverage_report",
     "dft_direct",
-    "fft_radix2",
     "fold",
     "fold_spectrum",
     "is_power_of_two",
@@ -92,7 +89,6 @@ __all__ = [
     "ric_op_counts",
     "synthesize_tones",
     "transform",
-    "twiddle_table",
     "verify_against_oracle",
     "write_signal",
     "write_spectrum",

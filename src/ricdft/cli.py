@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from .core import Direction, NormalizationMode, OutOfRangeError, RicdftError, _size, make_plan
+from .core import (Direction, NormalizationMode, OutOfRangeError, RicdftError, _size, _tolerance,
+                   make_plan)
 from .engine import op_counts
 from .fold import fold
 from .io import (SignalFileError, SignalFormat, read_signal, synthesize_tones, write_signal,
@@ -104,6 +105,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    tol = _tolerance(args.tol)  # before the input is built or read
     plan = make_plan(args.n, args.c)
     if args.random == (args.infile is not None):  # neither or both
         raise RicdftError("give either --in FILE or --random, not both")
@@ -115,7 +117,7 @@ def cmd_verify(args) -> int:
             raise OutOfRangeError(f"n={plan.n} is too large to allocate") from None
     else:
         x = read_signal(args.infile, args.in_format)
-    report = verify_against_oracle(x, plan, args.mode, args.direction, args.tol)
+    report = verify_against_oracle(x, plan, args.mode, args.direction, tol)
     status = "PASS" if report.passed else "FAIL"
     print(f"{status} max_abs_error={report.max_abs_error!r} "
           f"max_rel_error={report.max_rel_error!r} tolerance={report.tolerance!r}")

@@ -38,10 +38,6 @@ class LengthMismatchError(RicdftError, ValueError):
     """A sequence length does not match the plan it is used with."""
 
 
-class NotPowerOfTwoError(RicdftError, ValueError):
-    """A length that must be a power of two is not."""
-
-
 class SequenceError(RicdftError, ValueError):
     """A sequence is not a finite, non-empty 1-d array of complex samples."""
 
@@ -189,8 +185,7 @@ def correction_factor(mode: NormalizationMode, direction: Direction, plan: RicPl
 class OpCounter:
     """Tally of complex additions and multiplications.
 
-    One instance per computation; counts only grow while a computation
-    runs.  Call :meth:`reset` between runs.
+    One instance per computation; counts only grow.
     """
 
     __slots__ = ("complex_adds", "complex_mults")
@@ -204,13 +199,6 @@ class OpCounter:
 
     def mul(self, n: int = 1):
         self.complex_mults += n
-
-    def reset(self):
-        self.complex_adds = 0
-        self.complex_mults = 0
-
-    def __repr__(self):
-        return f"OpCounter(complex_adds={self.complex_adds}, complex_mults={self.complex_mults})"
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,9 @@
 """Transforms of the compressed sequences.
 
 :func:`transform` is numpy's pocketfft at every length; its unscaled
-core, ``_fft``, is what the pipeline runs on the c sums.  Two hand-written
-engines share its contract and stay as the counted references the tests
-compare against: a direct quadratic DFT/IDFT for any length, whose row
-kernel also gives the oracle its c retained rows, and a self-sorting
-radix-2 FFT for power-of-two lengths.
+core, ``_fft``, is what the pipeline runs on the c sums.  A direct
+quadratic DFT/IDFT for any length shares its contract; its row kernel
+also gives the oracle its c retained rows.
 
 Twiddle factors come from one table per length M, entry r holding
 W_M**(-r) = exp(-2j*pi*r/M); the _TABLES most recently used stay cached.
@@ -20,22 +18,15 @@ path scales in one epilogue, ``_scaled``, by the :mod:`ricdft.core`
 factor at a given length (n for the pipeline and the oracle, whose sums
 are c of n rows).
 
-The radix-2 engine is the self-sorting (Stockham) decimation-in-time
-form: column j of its R x K work array holds the R-point transform of
-x[j::K], so the output comes out in natural order with no bit-reversal
-pass.  A 2R-point stage's twiddles W_2R**(-j) are W_M**(-j*K/2), the
-length-M table read at stride K/2: the twiddle collapse the fold rests on,
-with a power-of-two stride, so they equal the length-2R table bit for bit.
-
 Operation counting conventions: the direct engine counts every twiddle
 product (including multiplications by 1, -1, +-j) as one complex
-multiplication, M*M in total, plus M*(M-1) complex additions.  The radix-2
-engine counts one complex multiplication and two complex additions per
+multiplication, M*M in total, plus M*(M-1) complex additions.  A radix-2
+FFT counts one complex multiplication and two complex additions per
 butterfly, i.e. (M/2)*log2(M) multiplications and M*log2(M) additions;
 trivial twiddles are multiplied and counted like any other.
-:func:`op_counts` gives, in these closed forms, the reference engine of a
-length: radix-2 for a power of two, else direct; :func:`transform` tallies
-it.  Output scaling applied by a normalization mode is not counted.
+:func:`op_counts` gives, in these closed forms, the count of a length:
+radix-2 for a power of two, else direct; :func:`transform` tallies it.
+Output scaling applied by a normalization mode is not counted.
 """
 
 import functools
@@ -43,11 +34,12 @@ import math
 
 import numpy as np
 
-from .core import (Direction, NormalizationMode, NotPowerOfTwoError, OpCounter, _member, _scale,
-                   as_complex_sequence, is_power_of_two)
+from .core import (Direction, NormalizationMode, OpCounter, _member, _scale, as_complex_sequence,
+                   is_power_of_two)
 
-# Twiddle tables kept at once, for an oracle length and a c-point length in
-# turn; building one is O(M) against the O(M * rows) of any kernel reading it.
+# Twiddle tables kept at once, for the oracle at length n and dft_direct at
+# length c in turn; building one is O(M) against the O(M * rows) of the row
+# kernel reading it.
 _TABLES = 2
 
 # Values of the larger twiddle matrix a block of the direct row kernel
@@ -139,40 +131,6 @@ def _direct_rows(x: np.ndarray, rows: np.ndarray, direction: Direction) -> np.nd
         p *= w(k * bj2)
         out.append(p.sum(axis=1))
     return np.concatenate(out)
-
-
-def fft_radix2(
-    x,
-    direction: Direction = Direction.FORWARD,
-    mode: NormalizationMode = NormalizationMode.NONE,
-    counter: OpCounter | None = None,
-) -> np.ndarray:
-    """Self-sorting decimation-in-time radix-2 FFT for power-of-two lengths.
-
-    Matches :func:`dft_direct` on the same inputs up to roundoff.  The
-    output is a new array; x is never written.
-    """
-    x = as_complex_sequence(x)
-    direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
-    m = len(x)
-    if not is_power_of_two(m):
-        raise NotPowerOfTwoError(f"length {m} is not a power of two")
-    table = twiddle_table(m)
-    if direction is Direction.INVERSE:
-        table = table.conj()
-    y = x.reshape(1, m)
-    while y.shape[0] < m:
-        rows, half = y.shape[0], y.shape[1] // 2
-        even = y[:, :half]
-        odd = y[:, half:] * table[::half][:rows, None]
-        y = np.concatenate([even + odd, even - odd])
-        if counter is not None:
-            counter.mul(m // 2)
-            counter.add(m)
-    y = y.reshape(m)
-    if m == 1:
-        y = y.copy()  # no stage ran, so y is still a view of x
-    return _scaled(y, direction, mode, m)
 
 
 def transform(

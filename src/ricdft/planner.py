@@ -11,7 +11,10 @@ off, up to max_n/2.
 
 A bin's frequency k*fs/c is computed exactly, as a ratio of integers, and
 rounded to float once, so whether a target is hit depends on (c, k) alone
-and never on how the product was rounded.
+and never on how the product was rounded.  Targets and the sample rate
+are binary floats, exact at their float value and not at the decimal they
+were written as: 333.3 Hz is the dyadic rational nearest it, which bin
+k = 6004199023210345 of c = 2**54 hits exactly at fs = 1000 Hz.
 """
 
 from dataclasses import dataclass

@@ -1,12 +1,17 @@
-"""Independent brute-force references shared by the test modules.
+"""Independent references shared by the test modules.
 
-Everything here is deliberately written with plain Python loops and cmath
-so it exercises none of the library's vectorized code paths.
+The brute-force references are deliberately written with plain Python
+loops and cmath so they exercise none of the library's vectorized code
+paths.  ``fft_radix2`` is the one vectorized reference: a counted radix-2
+FFT that pins the library's closed-form ``op_counts`` for powers of two.
 """
 
 import cmath
 
 import numpy as np
+
+from ricdft.core import Direction, NormalizationMode, _member, as_complex_sequence, is_power_of_two
+from ricdft.engine import _scaled
 
 # The worked 8-point example used across modules and its hand-checked results.
 GOLDEN_X = np.array(
@@ -81,3 +86,38 @@ def exhaustive_best_plan(sample_rate, targets, max_n, power_of_two_only, tol):
                 if best is None or (c, n) < best:
                     best = (c, n)
     return best
+
+
+def fft_radix2(x, direction=Direction.FORWARD, mode=NormalizationMode.NONE, counter=None):
+    """Counted self-sorting decimation-in-time radix-2 FFT, scaled like the engines.
+
+    Column j of its R x K work array holds the R-point transform of x[j::K],
+    so the output comes out in natural order with no bit-reversal pass (the
+    Stockham form).  A 2R-point stage reads its twiddles W_2R**(-j) from the
+    length-m table at stride K/2.  Each butterfly counts one complex
+    multiplication and two additions, trivial twiddles included.  Builds its
+    own table, so it reads none of the library's cached ones; the output is
+    a new array and x is never written.  ValueError unless len(x) is a power
+    of two.
+    """
+    x = as_complex_sequence(x)
+    direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
+    m = len(x)
+    if not is_power_of_two(m):
+        raise ValueError(f"length {m} is not a power of two")
+    table = np.exp(-2j * np.pi * np.arange(m) / m)
+    if direction is Direction.INVERSE:
+        table = table.conj()
+    y = x.reshape(1, m)
+    while y.shape[0] < m:
+        rows, half = y.shape[0], y.shape[1] // 2
+        even = y[:, :half]
+        odd = y[:, half:] * table[::half][:rows, None]
+        y = np.concatenate([even + odd, even - odd])
+        if counter is not None:
+            counter.mul(m // 2)
+            counter.add(m)
+    y = y.reshape(m)
+    if m == 1:
+        y = y.copy()  # no stage ran, so y is still a view of x
+    return _scaled(y, direction, mode, m)

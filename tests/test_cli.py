@@ -166,13 +166,17 @@ def test_verify_prints_the_report_of_verify_against_oracle(capsys):
                        f"{report.max_rel_error!r} tolerance={report.tolerance!r}\n"), direction
 
 
-def test_verify_checks_tolerance_before_any_transform(monkeypatch, capsys):
+def test_verify_checks_tolerance_before_any_transform(monkeypatch, capsys, tmp_path):
     def transform(*args, **kwargs):
         raise AssertionError("a transform ran before the tolerance was checked")
 
     monkeypatch.setattr(ricdft.ric, "_oracle", transform)
     monkeypatch.setattr(ricdft.ric, "_ric", transform)
     assert run("verify", "--random", "--n", 64, "--c", 8, "--tol", "nan") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # the tolerance is checked before the input is read: a bad one is a usage
+    # error (2) even when the file is missing, which alone would be an I/O error (3)
+    assert run("verify", "--in", tmp_path / "missing.csv", "--n", 8, "--c", 2, "--tol", "nan") == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -268,11 +272,13 @@ def test_usage_error_exit_code():
     (["synth", "--n", str(2 ** 62), "--tone", "1:1", "--out", "{tmp}/t.csv"], 2),
     (["verify", "--random", "--n", str(2 ** 62), "--c", "2"], 2),
     (["synth", "--n", "8", "--tone", "1:1e308", "--tone", "1:1e308", "--out", "{tmp}/t.csv"], 2),
+    (["verify", "--in", "{tmp}/missing.csv", "--n", "8", "--c", "2", "--tol", "nan"], 2),
 ], ids=["bench-bad-list", "plan-bad-target", "synth-nan-amp", "dft-wrong-length",
         "verify-nan-tol", "verify-negative-tol", "plan-nan-tol", "verify-negative-seed",
         "bench-non-divisor", "plan-nan-target", "verify-huge-n", "synth-huge-n",
         "bench-c-above-half", "bench-no-pow2-c", "dft-not-utf8", "verify-in-and-random",
-        "synth-unallocatable-n", "verify-unallocatable-n", "synth-overflow"])
+        "synth-unallocatable-n", "verify-unallocatable-n", "synth-overflow",
+        "verify-bad-tol-missing-file"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, code):
     write_signal(GOLDEN_X, tmp_path / "x.csv")  # 8 samples: wrong length for n = 16
     (tmp_path / "b.csv").write_bytes(b"\xff\xfe1,2\n1,2\n1,2\n1,2\n")  # not UTF-8

@@ -142,5 +142,3 @@ def test_op_counter():
     ctr.mul()
     ctr.mul(2)
     assert (ctr.complex_adds, ctr.complex_mults) == (4, 3)
-    ctr.reset()
-    assert (ctr.complex_adds, ctr.complex_mults) == (0, 0)

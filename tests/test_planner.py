@@ -88,6 +88,16 @@ def test_hits_do_not_depend_on_n_through_rounding(sample_rate, targets, want):
     assert exhaustive_best(sample_rate, targets, 128, False, 0.0) == want
 
 
+def test_targets_are_exact_at_their_float_value():
+    # the float 333.3 is a dyadic rational, not 3333/10, so a power-of-two c
+    # hits it exactly once c is large enough: c = 2**54 at fs = 1000 Hz
+    proposal = plan_for_frequencies(1000.0, [333.3], 10 ** 30, tol=0)
+    assert (proposal.plan.n, proposal.plan.c) == (2 ** 55, 2 ** 54)
+    (a,) = proposal.assignments
+    assert a.achieved == 333.3 and a.rel_error == 0
+    assert a.k * 1000 / 2 ** 54 == 333.3
+
+
 def test_optimality_randomized_against_exhaustive():
     rng = np.random.default_rng(41)
     checked = 0

@@ -14,7 +14,6 @@ from ricdft import (
     compare_values,
     correction_factor,
     dft_direct,
-    fft_radix2,
     fold,
     make_plan,
     op_counts,
@@ -32,6 +31,7 @@ from helpers import (
     GOLDEN_INVERSE_N,
     GOLDEN_X,
     divisor_pairs,
+    fft_radix2,
     naive_dft,
     random_complex,
 )
