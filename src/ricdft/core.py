@@ -132,7 +132,11 @@ def _size(name: str, value, low: int = 0) -> int:
 
 def _real(name: str, value, low: float = -math.inf) -> float:
     # bool is a Real subclass, but True is no measurement
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an integer beyond float range, too long to print whole
+        raise OutOfRangeError(f"{name} is beyond float range") from None
+    if not finite:
         raise OutOfRangeError(f"{name}={value!r} is not a finite number")
     if value < low:
         raise OutOfRangeError(f"{name}={value} must be at least {low}")
@@ -217,7 +221,7 @@ def as_complex_sequence(x) -> np.ndarray:
 def _complex_array(x) -> np.ndarray:
     try:
         arr = np.asarray(x, dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int beyond float range
         raise SequenceError(f"not a complex sequence: {exc}") from None
     if arr.ndim != 1:
         raise SequenceError(f"expected a 1-d sequence, got shape {arr.shape}")

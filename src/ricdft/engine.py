@@ -13,7 +13,10 @@ exponents.  The direct row kernel splits j = j1 + B*j2 with B = isqrt(M),
 as Bailey's four-step FFT (1990) does, but with no inner FFT: per block of
 rows it multiplies W_M**(k*j1) by x read as a B x ceil(M/B) matrix in one
 BLAS product and reduces each row of that against W_M**(k*B*j2),
-2*sqrt(M) table entries a row, conjugated in place for the inverse.  Every
+2*sqrt(M) table entries a row.  ``_twiddles`` gathers these forward blocks
+and the products read them, so a caller may keep a row set's blocks for
+later calls (the oracle does, per plan); the inverse conjugates each block
+into a fresh array, never in place.  Every
 path scales in one epilogue, ``_scaled``, by the :mod:`ricdft.core`
 factor at a given length (n for the pipeline and the oracle, whose sums
 are c of n rows).
@@ -30,6 +33,7 @@ Output scaling applied by a normalization mode is not counted.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -98,39 +102,65 @@ def dft_direct(
     return _scaled(out, direction, mode, m)
 
 
-def _direct_rows(x: np.ndarray, rows: np.ndarray, direction: Direction) -> np.ndarray:
+def _direct_rows(x: np.ndarray, rows: np.ndarray, direction: Direction,
+                 twiddles=None) -> np.ndarray:
     """Unscaled sums over j of x[j] * W_M**(-+ k*j) at each row k in ``rows``.
 
     x is a validated length-M sequence, ``rows`` int64 indices in [0, M)
     and ``direction`` a member; the work is M products per row.
+    ``twiddles`` holds the blocks ``_twiddles(M, rows)`` yields, kept from
+    an earlier call; None gathers them afresh, one block at a time.
 
     Row k is the sum over j2 of W_M**(k*B*j2) * (A @ X)[k, j2], where
     A[k, j1] = W_M**(k*j1), B = isqrt(M) and X[j1, j2] = x[j1 + B*j2], x
-    zero-padded to B*ceil(M/B) samples; exponents are reduced modulo M in
-    integers.  A row gets the same bits in any block of two or more rows:
-    the sum over j2 is a numpy reduction per row and A @ X a sum of
-    products of depth _DEPTH (one row would take BLAS's vector path, which
-    rounds differently).
+    zero-padded to B*ceil(M/B) samples.  A row gets the same bits in any
+    block of two or more rows: the sum over j2 is a numpy reduction per
+    row and A @ X a sum of products of depth _DEPTH (one row would take
+    BLAS's vector path, which rounds differently).
     """
-    m = len(x)
-    table, inverse = twiddle_table(m), direction is Direction.INVERSE
-
-    def w(exponents):  # a gathered block, conjugated in place for the inverse
-        block = table[exponents % m]
-        return np.conjugate(block, out=block) if inverse else block
-
-    b = math.isqrt(m)
-    j1, bj2 = np.arange(b, dtype=np.int64), np.arange(0, m, b, dtype=np.int64)
+    m, b = len(x), math.isqrt(len(x))
     if m % b:
-        x = np.concatenate([x, np.zeros(b * len(bj2) - m, complex)])
+        x = np.concatenate([x, np.zeros(b * -(-m // b) - m, complex)])
     xt = x.reshape(-1, b).T
-    blocks = np.array_split(rows[:, None], max(1, len(rows) // max(2, _BLOCK_CELLS // len(bj2))))
-    out = []
-    for k in blocks:
-        p = sum(w(k * j1[d:d + _DEPTH]) @ xt[d:d + _DEPTH] for d in range(0, b, _DEPTH))
-        p *= w(k * bj2)
-        out.append(p.sum(axis=1))
-    return np.concatenate(out)
+    inverse = direction is Direction.INVERSE
+
+    def w(block):  # forward twiddles; the inverse's are their conjugates, in a fresh array
+        return np.conjugate(block) if inverse else block
+
+    def block_rows(a, v):
+        p = sum(w(ad) @ xt[d:d + _DEPTH] for d, ad in zip(range(0, b, _DEPTH), a))
+        p *= w(v)
+        return p.sum(axis=1)
+
+    # starmap holds no block past its call, so one gathered block is alive at a time
+    blocks = _twiddles(m, rows) if twiddles is None else twiddles
+    return np.concatenate(list(itertools.starmap(block_rows, blocks)))
+
+
+def _twiddles(m: int, rows: np.ndarray):
+    """Forward twiddle blocks of the row kernel at length m, one block of rows at a time.
+
+    Each block is (the depth slices of W_M**(k*j1), W_M**(k*B*j2)) for its
+    rows k, exponents reduced modulo M in integers; a block holds about
+    _BLOCK_CELLS values per matrix.  They total ``_twiddle_cells(m, len(rows))``
+    and are read-only, so a block kept for later calls cannot change.
+    """
+    table, b = twiddle_table(m), math.isqrt(m)
+    j1, bj2 = np.arange(b, dtype=np.int64), np.arange(0, m, b, dtype=np.int64)
+
+    def gather(exponents):
+        block = table[exponents % m]
+        block.setflags(write=False)
+        return block
+
+    for k in np.array_split(rows[:, None], max(1, len(rows) // max(2, _BLOCK_CELLS // len(bj2)))):
+        yield [gather(k * j1[d:d + _DEPTH]) for d in range(0, b, _DEPTH)], gather(k * bj2)
+
+
+def _twiddle_cells(m: int, rows: int) -> int:
+    """Values in all the blocks of ``_twiddles(m, rows)`` for that many rows."""
+    b = math.isqrt(m)
+    return rows * (b + -(-m // b))
 
 
 def transform(

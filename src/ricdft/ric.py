@@ -15,13 +15,14 @@ definition at the c retained rows only, in O(n*c), and reports the
 disagreement: the package's ground-truth equivalence check.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (Direction, LengthMismatchError, NormalizationMode, RicPlan, _complex_array,
                    _member, _tolerance)
-from .engine import _direct_rows, _fft, _scaled, op_counts
+from .engine import _direct_rows, _fft, _scaled, _twiddle_cells, _twiddles, op_counts
 from .fold import fold
 
 
@@ -145,13 +146,25 @@ def verify_against_oracle(
     return compare_values(got, _oracle(x, plan, direction, mode), tolerance)
 
 
+# The oracle keeps a live plan's forward twiddle blocks, read-only, when they
+# total at most this many values (1 MiB of complex128): gathering them is most
+# of a call at n = 4096, and a verify after the first under the same plan reads
+# them back.  An entry dies with its plan; larger plans gather blocks per call.
+_KEPT_CELLS = 1 << 16
+_kept = weakref.WeakKeyDictionary()
+
+
 def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
     """The retained coefficients by the definition, in O(n*c).
 
     Rows k*L of the n-point direct transform, scaled at length n, from the
     matrix-product row kernel of :func:`dft_direct` and so its rows bit for
-    bit; the fold, the c-point FFT and W_n**(l*m) = W_c**m go unused.
+    bit, whether its twiddle blocks are kept or gathered afresh; the fold,
+    the c-point FFT and W_n**(l*m) = W_c**m go unused.
     Checks nothing: the fold has accepted x (its length, and a NaN/Inf
     sample through its column sum) and direction and mode are members.
     """
-    return _scaled(_direct_rows(x, ric_index_set(plan), direction), direction, mode, plan.n)
+    rows, twiddles = ric_index_set(plan), _kept.get(plan)
+    if twiddles is None and _twiddle_cells(plan.n, plan.c) <= _KEPT_CELLS:
+        twiddles = _kept[plan] = list(_twiddles(plan.n, rows))
+    return _scaled(_direct_rows(x, rows, direction, twiddles), direction, mode, plan.n)

@@ -85,7 +85,8 @@ def test_make_plan_accepts_numpy_integers():
 
 
 def test_as_complex_sequence_errors_are_typed():
-    for bad in ([], [[1, 2], [3, 4]], [1, float("nan")], [complex(0, float("inf"))], ["x"]):
+    for bad in ([], [[1, 2], [3, 4]], [1, float("nan")], [complex(0, float("inf"))], ["x"],
+                [10**400]):
         with pytest.raises(SequenceError):
             as_complex_sequence(bad)
     assert issubclass(SequenceError, ValueError)

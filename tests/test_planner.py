@@ -162,6 +162,7 @@ def test_max_n_must_be_an_integer_size():
 @pytest.mark.parametrize("bad", [
     {"sample_rate": "800"}, {"sample_rate": None}, {"sample_rate": math.nan},
     {"targets": ["a"]}, {"targets": [None]}, {"targets": [True]}, {"tol": "a"}, {"tol": None},
+    {"sample_rate": 10**400}, {"targets": [10**400]}, {"tol": 10**400},
 ])
 def test_non_numbers_are_out_of_range(bad):
     args = dict(sample_rate=800.0, targets=[100.0], max_n=64) | bad

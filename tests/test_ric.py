@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -224,7 +225,7 @@ def test_length_mismatch():
 def test_tolerance_must_be_finite_and_non_negative():
     x = np.ones(4)
     assert compare_values(x, x, 0.0).passed
-    for tol in (float("nan"), float("inf"), -1.0, None, "x", "1e-9", True, [1e-9]):
+    for tol in (float("nan"), float("inf"), -1.0, None, "x", "1e-9", True, [1e-9], 10**400):
         with pytest.raises(OutOfRangeError):
             compare_values(x, x, tol)
         with pytest.raises(OutOfRangeError):
@@ -247,16 +248,42 @@ def test_tolerance_checked_before_the_oracle(monkeypatch):
 )
 def test_oracle_is_the_direct_transform_at_the_retained_rows(n, cs):
     # the same row kernel as dft_direct, whose rows get the same bits in
-    # any block of two or more rows, so equal bit for bit
+    # any block of two or more rows, so equal bit for bit; each plan runs
+    # forward, inverse, then forward again, so the calls that read the
+    # twiddle blocks an earlier call kept are checked too
     x = random_complex(np.random.default_rng(n), n)
-    cs = cs or [c for c, _ in divisor_pairs(n)]
-    for direction in (F, I):
+    plans = [make_plan(n, c) for c in cs or [c for c, _ in divisor_pairs(n)]]
+    for direction in (F, I, F):
         for mode in (NONE, RECIP, UNITARY):
             full = dft_direct(x, direction, mode)
-            for c in cs:
-                plan = make_plan(n, c)
+            for plan in plans:
                 got = ricdft.ric._oracle(x, plan, direction, mode)
-                assert got.tobytes() == full[ric_index_set(plan)].tobytes(), (c, direction, mode)
+                assert got.tobytes() == full[ric_index_set(plan)].tobytes(), (plan, direction, mode)
+
+
+def test_oracle_keeps_read_only_twiddles_per_live_plan():
+    rng = np.random.default_rng(41)
+    plan = make_plan(4096, 512)  # 512 rows of 64 + 64 values: 2**16, the limit
+    x = random_complex(rng, plan.n)
+    ricdft.ric._oracle(x, plan, F, NONE)
+    kept = ricdft.ric._kept[plan]
+    blocks = [block for a, v in kept for block in (*a, v)]
+    before = [block.copy() for block in blocks]
+    assert sum(block.size for block in blocks) == ricdft.ric._KEPT_CELLS
+    # the inverse conjugates each block into a fresh array, never in place
+    ricdft.ric._oracle(x, plan, I, UNITARY)
+    assert ricdft.ric._kept[plan] is kept
+    for block, old in zip(blocks, before):
+        assert not block.flags.writeable and block.tobytes() == old.tobytes()
+    # 2**17 and 648 * (56 + 58) = 73,872 values: over the limit, nothing kept
+    for n, c in ((4096, 1024), (3240, 648)):
+        big = make_plan(n, c)
+        ricdft.ric._oracle(random_complex(rng, n), big, F, NONE)
+        assert big not in ricdft.ric._kept
+    # the entry dies with its plan
+    del plan, kept
+    gc.collect()
+    assert make_plan(4096, 512) not in ricdft.ric._kept
 
 
 def test_oracle_is_independent_of_the_fast_path(monkeypatch):
