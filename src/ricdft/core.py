@@ -101,9 +101,9 @@ class RicPlan:
     def __post_init__(self):
         n, c = _size("n", self.n, 4), _size("c", self.c)
         if not (2 <= c <= n // 2):
-            raise OutOfRangeError(f"c={c} outside [2, {n // 2}] for n={n}")
+            raise OutOfRangeError(f"c={_shown(c)} outside [2, {_shown(n // 2)}] for n={_shown(n)}")
         if n % c != 0:
-            raise NonDivisorError(f"c={c} does not divide n={n}")
+            raise NonDivisorError(f"c={_shown(c)} does not divide n={_shown(n)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
 
@@ -126,8 +126,16 @@ def _size(name: str, value, low: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise OutOfRangeError(f"{name}={value!r} is not an integer size")
     if value < low:
-        raise OutOfRangeError(f"{name}={value} must be at least {low}")
+        raise OutOfRangeError(f"{name}={_shown(value)} must be at least {low}")
     return int(value)
+
+
+def _shown(value: int) -> str:
+    """The integer in decimal, or by its bit length past the digits Python prints."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return f"{'-' * (value < 0)}<{abs(value).bit_length()}-bit integer>"
 
 
 def _real(name: str, value, low: float = -math.inf) -> float:

@@ -1,9 +1,9 @@
 """Transforms of the compressed sequences.
 
-:func:`transform` is numpy's pocketfft at every length; its unscaled
-core, ``_fft``, is what the pipeline runs on the c sums.  A direct
-quadratic DFT/IDFT for any length shares its contract; its row kernel
-also gives the oracle its c retained rows.
+:func:`transform` is numpy's pocketfft at every length, out of place;
+its unscaled core, ``_fft``, runs on the pipeline's c sums in place.  A
+direct quadratic DFT/IDFT for any length shares its contract; its row
+kernel also gives the oracle its c retained rows.
 
 Twiddle factors come from one table per length M, entry r holding
 W_M**(-r) = exp(-2j*pi*r/M); the _TABLES most recently used stay cached.
@@ -182,15 +182,15 @@ def transform(
     return _scaled(_fft(x, direction), direction, mode, len(x))
 
 
-def _fft(x: np.ndarray, direction: Direction) -> np.ndarray:
-    """Unscaled ``np.fft`` of a checked sequence."""
+def _fft(x: np.ndarray, direction: Direction, out: np.ndarray | None = None) -> np.ndarray:
+    """Unscaled ``np.fft`` of a checked sequence, into ``out`` (the pipeline's own c sums)."""
     if direction is Direction.FORWARD:
-        return np.fft.fft(x)
-    return np.fft.ifft(x, norm="forward")  # "forward" leaves the inverse unscaled
+        return np.fft.fft(x, out=out)
+    return np.fft.ifft(x, norm="forward", out=out)  # "forward" leaves the inverse unscaled
 
 
 def _scaled(y: np.ndarray, direction: Direction, mode: NormalizationMode, m: int) -> np.ndarray:
-    """y, a fresh array, scaled in place by the mode's factor at length m."""
+    """y, an array the caller owns, scaled in place by the mode's factor at length m."""
     s = _scale(mode, direction, m)
     if s != 1.0:
         y *= s

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import OutOfRangeError, RicdftError, _member, _real, _size, as_complex_sequence
+from .core import OutOfRangeError, RicdftError, _member, _real, _shown, _size, as_complex_sequence
 from .ric import RicSpectrum
 
 
@@ -190,7 +190,7 @@ def synthesize_tones(n: int, tones) -> np.ndarray:
     for bin_idx, amp, phase in tones:
         bin_idx, amp, phase = _size("tone bin", bin_idx), _real("amplitude", amp), _real("phase", phase)
         if bin_idx >= n:
-            raise OutOfRangeError(f"tone bin {bin_idx} outside [0, {n - 1}]")
+            raise OutOfRangeError(f"tone bin {_shown(bin_idx)} outside [0, {n - 1}]")
         angle = 2.0 * np.pi * ((bin_idx * m) % n) / n + phase
         with np.errstate(over="ignore", invalid="ignore"):
             x += amp * np.exp(1j * angle)

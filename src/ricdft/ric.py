@@ -4,7 +4,8 @@ The forward path computes the n-point DFT values X[k*L] for k = 0..C-1 by
 transforming the c-point fold of the signal; the inverse path computes the
 n-point IDFT values x[n*L] the same way from a folded spectrum; both are
 one pipeline parameterized by direction: fold, an unscaled ``np.fft`` of
-the c sums, then one multiply by the mode's factor at length n, as the
+the fold's fresh c sums in their own buffer (``engine.transform`` stays out
+of place), then one multiply there by the mode's factor at length n, as the
 oracle does.  The unscaled c-point DFT of the fold is the unscaled n-point
 DFT at the retained indices, so nothing is scaled at length c
 (:func:`ricdft.core.correction_factor` relates the two lengths' scales).
@@ -65,10 +66,11 @@ def _ric(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> Ric
     spectrum records the member.
     """
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
-    values = _fft(fold(x, plan).samples, direction)
+    indices = ric_index_set(plan)  # first, so its temporary is freed before the sums exist
+    sums = fold(x, plan).samples  # a fresh array: transformed and scaled in its own buffer
     return RicSpectrum(
-        indices=ric_index_set(plan),
-        values=_scaled(values, direction, mode, plan.n),
+        indices=indices,
+        values=_scaled(_fft(sums, direction, out=sums), direction, mode, plan.n),
         plan=plan,
         mode=mode,
         direction=direction,

@@ -49,6 +49,13 @@ def test_make_plan_errors():
         make_plan(16, 12)  # divides nothing anyway, but range fires first
     with pytest.raises(OutOfRangeError):
         make_plan(2, 2)
+    # integers too long to print whole are described by their size, still typed
+    with pytest.raises(OutOfRangeError, match="-<16610-bit integer>"):
+        make_plan(-10**5000, 2)
+    with pytest.raises(NonDivisorError, match="<16610-bit integer>"):
+        make_plan(10**5000, 3)
+    with pytest.raises(OutOfRangeError):
+        make_plan(8, 10**5000)
 
 
 def test_ric_plan_checks_itself():

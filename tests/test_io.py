@@ -200,6 +200,7 @@ def test_synthesize_size_must_be_an_integer():
 @pytest.mark.parametrize("tone", [
     (1, math.nan, 0.0), (1, 1.0, math.inf), (1, "a", 0.0), (1, None, 0.0),
     (True, 1.0, 0.0), (2.0, 1.0, 0.0), ("1", 1.0, 0.0), (1, 10**400, 0.0), (1, 1.0, 10**400),
+    (10**5000, 1.0, 0.0),
 ])
 def test_synthesize_rejects_bad_tones(tone):
     with pytest.raises(OutOfRangeError):

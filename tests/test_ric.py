@@ -1,5 +1,7 @@
 import gc
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +180,39 @@ def test_pipeline_is_fold_transform_scale_bit_for_bit(direction, mode, n):
         unscaled = np.fft.fft(sums) if direction is F else np.fft.ifft(sums, norm="forward")
         assert np.array_equal(spectrum.values, unscaled * s), c
         assert spectrum.direction is direction and spectrum.mode is mode
+
+
+@pytest.mark.parametrize("n, c", [(1024, 512), (2 ** 16, 2), (24_000, 3_000)])
+def test_input_is_never_written_or_aliased(n, c):
+    # the pipeline transforms and scales the fold's fresh c sums in place, never x
+    x = random_complex(np.random.default_rng(c), n)
+    before = x.copy()
+    plan = make_plan(n, c)
+    runs = ((ric_dft, F), (ric_idft, I))
+    for (run, direction), mode in itertools.product(runs, (NONE, RECIP, UNITARY)):
+        spectrum = run(x, plan, mode)
+        assert not np.shares_memory(spectrum.values, x), (run, mode)
+        assert x.tobytes() == before.tobytes(), (run, mode)
+        verify_against_oracle(x, plan, mode, direction)
+        assert x.tobytes() == before.tobytes(), ("verify", direction, mode)
+
+
+@pytest.mark.parametrize("c", (2 ** 12, 2 ** 17))
+@pytest.mark.parametrize("run", (ric_dft, ric_idft))
+def test_one_c_point_buffer_per_call(run, c):
+    # the c sums (16c bytes) become the values, beside the 8c of the indices, built
+    # first, and the fold's c-byte finiteness mask; a second c-point array for the
+    # FFT's output would take the peak to 2 x 16c
+    n = 2 ** 18
+    x, plan = random_complex(np.random.default_rng(3), n), make_plan(n, c)
+    run(x, plan, UNITARY)
+    tracemalloc.start()
+    try:
+        run(x, plan, UNITARY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 16 * c, (peak, 16 * c)
 
 
 def test_verify_against_oracle_golden_signal():
