@@ -126,15 +126,12 @@ def cmd_verify(args) -> int:
 
 def _parse_tone(text: str):
     parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise RicdftError(f"tone {text!r} must be BIN:AMP or BIN:AMP:PHASE")
     try:
-        bin_idx = int(parts[0])
-        amp = float(parts[1])
-        phase = float(parts[2]) if len(parts) == 3 else 0.0
+        if len(parts) in (2, 3):
+            return int(parts[0]), float(parts[1]), float(parts[2]) if len(parts) == 3 else 0.0
     except ValueError:
-        raise RicdftError(f"tone {text!r} must be BIN:AMP or BIN:AMP:PHASE") from None
-    return bin_idx, amp, phase
+        pass
+    raise RicdftError(f"tone {text!r} must be BIN:AMP or BIN:AMP:PHASE")
 
 
 def cmd_synth(args) -> int:

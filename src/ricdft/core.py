@@ -77,7 +77,7 @@ def _member(kind, value):
     try:
         return kind(value)
     except ValueError:
-        raise OutOfRangeError(f"unknown {kind.__name__} {value!r}") from None
+        raise OutOfRangeError(f"unknown {kind.__name__} {_shown(value)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -124,18 +124,20 @@ class RicPlan:
 def _size(name: str, value, low: int = 0) -> int:
     # bool is an Integral subclass, but True is no length
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise OutOfRangeError(f"{name}={value!r} is not an integer size")
+        raise OutOfRangeError(f"{name}={_shown(value)} is not an integer size")
     if value < low:
         raise OutOfRangeError(f"{name}={_shown(value)} must be at least {low}")
     return int(value)
 
 
-def _shown(value: int) -> str:
-    """The integer in decimal, or by its bit length past the digits Python prints."""
+def _shown(value) -> str:
+    """An integer in decimal, anything else by its repr; past the digits Python prints, by size."""
     try:
-        return str(value)
+        return str(value) if isinstance(value, numbers.Integral) else repr(value)
     except ValueError:  # more digits than sys.get_int_max_str_digits() allows
-        return f"{'-' * (value < 0)}<{abs(value).bit_length()}-bit integer>"
+        if isinstance(value, numbers.Integral):
+            return f"{'-' * (value < 0)}<{abs(value).bit_length()}-bit integer>"
+        return f"<{type(value).__name__} too long to print>"
 
 
 def _real(name: str, value, low: float = -math.inf) -> float:
@@ -145,9 +147,9 @@ def _real(name: str, value, low: float = -math.inf) -> float:
     except OverflowError:  # an integer beyond float range, too long to print whole
         raise OutOfRangeError(f"{name} is beyond float range") from None
     if not finite:
-        raise OutOfRangeError(f"{name}={value!r} is not a finite number")
+        raise OutOfRangeError(f"{name}={_shown(value)} is not a finite number")
     if value < low:
-        raise OutOfRangeError(f"{name}={value} must be at least {low}")
+        raise OutOfRangeError(f"{name}={_shown(value)} must be at least {low}")
     return float(value)
 
 

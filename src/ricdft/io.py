@@ -153,13 +153,8 @@ def write_spectrum(spectrum: RicSpectrum, path, fmt="csv"):
                 fh.write(f"{k},{idx},{float(z.real)!r},{float(z.imag)!r}\n")
     elif fmt == "json":
         doc = {
-            "header": {
-                "n": spectrum.plan.n,
-                "c": spectrum.plan.c,
-                "l": spectrum.plan.l,
-                "mode": spectrum.mode.value,
-                "direction": spectrum.direction.value,
-            },
+            "header": {"n": spectrum.plan.n, "c": spectrum.plan.c, "l": spectrum.plan.l,
+                       "mode": spectrum.mode.value, "direction": spectrum.direction.value},
             "entries": [
                 {"k": k, "index": idx, "re": float(z.real), "im": float(z.imag)}
                 for k, (idx, z) in enumerate(spectrum.entries)

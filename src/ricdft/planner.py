@@ -108,15 +108,9 @@ def plan_for_frequencies(
         assignments = tuple(_assign(t, plan, sample_rate) for t in targets)
         worst = max(a.rel_error for a in assignments)
         if worst <= tol:
-            return PlanProposal(
-                plan=plan,
-                sample_rate=sample_rate,
-                bin_width=sample_rate / plan.n,
-                assignments=assignments,
-            )
+            return PlanProposal(plan, sample_rate, sample_rate / plan.n, assignments)
         if worst < best_err:
-            best_err = worst
-            best_plan = plan
+            best_err, best_plan = worst, plan
     detail = ""
     if best_plan is not None:
         detail = f"; best achievable rel_error={best_err:.6g} at n={best_plan.n}, c={best_plan.c}"
@@ -133,7 +127,4 @@ def coverage_report(proposal: PlanProposal, extra_targets) -> list[Assignment]:
     Nearest retained bin wins; exact midpoints resolve to the lower bin.
     A target that is negative or not a finite number raises OutOfRangeError.
     """
-    rows = []
-    for t in extra_targets:
-        rows.append(_assign(_real("target", t, 0.0), proposal.plan, proposal.sample_rate))
-    return rows
+    return [_assign(_real("target", t, 0.0), proposal.plan, proposal.sample_rate) for t in extra_targets]

@@ -12,8 +12,9 @@ DFT at the retained indices, so nothing is scaled at length c
 The cost of a call follows from its plan alone: :func:`ric_op_counts`.
 
 :func:`verify_against_oracle` re-derives the same coefficients from the
-definition at the c retained rows only, in O(n*c), and reports the
-disagreement: the package's ground-truth equivalence check.
+definition at the c retained rows only, in about n*R + c*B products for
+n = B*M and R residues of the rows mod M (:mod:`ricdft.engine`), and
+reports the disagreement: the package's ground-truth equivalence check.
 """
 
 import weakref
@@ -114,18 +115,15 @@ def compare_values(got, oracle, tolerance: float = 1e-9) -> VerificationReport:
     got, oracle = _complex_array(got), _complex_array(oracle)
     if got.shape != oracle.shape:
         raise LengthMismatchError(f"got has {got.size} values, the oracle {oracle.size}")
+    return _report(got, oracle, tolerance)
+
+
+def _report(got: np.ndarray, oracle: np.ndarray, tolerance: float) -> VerificationReport:
+    """:func:`compare_values` of two checked arrays of one shape and a checked tolerance."""
     max_abs = float(np.max(np.abs(got - oracle)))
     denom = float(np.max(np.abs(oracle)))
-    if denom > 0.0:
-        max_rel = max_abs / denom
-    else:
-        max_rel = 0.0 if max_abs == 0.0 else float("inf")
-    return VerificationReport(
-        max_abs_error=max_abs,
-        max_rel_error=max_rel,
-        passed=max_rel <= tolerance,
-        tolerance=tolerance,
-    )
+    max_rel = max_abs / denom if denom > 0.0 else (0.0 if max_abs == 0.0 else float("inf"))
+    return VerificationReport(max_abs, max_rel, passed=max_rel <= tolerance, tolerance=tolerance)
 
 
 def verify_against_oracle(
@@ -140,12 +138,13 @@ def verify_against_oracle(
     Both paths are evaluated at the retained indices k*L; the relative
     error is measured against the max magnitude of the direct values.
     Passes iff max_rel_error <= tolerance; a bad tolerance raises first.
+    Each argument is checked once; the oracle takes the pipeline's members.
     """
     tolerance = _tolerance(tolerance)
-    x = _complex_array(x)
-    direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
-    got = _ric(x, plan, direction, mode).values
-    return compare_values(got, _oracle(x, plan, direction, mode), tolerance)
+    x = _complex_array(x)  # the fold's own conversion of this array is the identity
+    spectrum = _ric(x, plan, direction, mode)
+    oracle = _oracle(x, plan, spectrum.direction, spectrum.mode)
+    return _report(spectrum.values, oracle, tolerance)
 
 
 # The oracle keeps a live plan's forward twiddle blocks, read-only, when they
@@ -157,16 +156,18 @@ _kept = weakref.WeakKeyDictionary()
 
 
 def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
-    """The retained coefficients by the definition, in O(n*c).
+    """The retained coefficients by the definition, in about n*R + c*B products.
 
     Rows k*L of the n-point direct transform, scaled at length n, from the
-    matrix-product row kernel of :func:`dft_direct` and so its rows bit for
-    bit, whether its twiddle blocks are kept or gathered afresh; the fold,
-    the c-point FFT and W_n**(l*m) = W_c**m go unused.
+    row kernel of :func:`dft_direct` and so its rows bit for bit, whether
+    its twiddle blocks are kept or gathered afresh.  The rows fall on R
+    residues mod M (R = 8 at n = 4096, c = 512); the fold, the c-point FFT
+    and W_n**(l*m) = W_c**m go unused.
     Checks nothing: the fold has accepted x (its length, and a NaN/Inf
     sample through its column sum) and direction and mode are members.
     """
     rows, twiddles = ric_index_set(plan), _kept.get(plan)
-    if twiddles is None and _twiddle_cells(plan.n, plan.c) <= _KEPT_CELLS:
-        twiddles = _kept[plan] = list(_twiddles(plan.n, rows))
+    if twiddles is None and _twiddle_cells(plan.n, rows) <= _KEPT_CELLS:
+        per_residue, per_row = _twiddles(plan.n, rows)
+        twiddles = _kept[plan] = [list(ts) for ts in per_residue], list(per_row)
     return _scaled(_direct_rows(x, rows, direction, twiddles), direction, mode, plan.n)

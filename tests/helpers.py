@@ -24,14 +24,18 @@ GOLDEN_INVERSE_C = np.array([1.5 + 1j, -4.5 - 2j, 1.5 - 5j, -2.5 + 2j], dtype=np
 GOLDEN_INVERSE_N = np.array([0.75 + 0.5j, -2.25 - 1j, 0.75 - 2.5j, -1.25 + 1j], dtype=np.complex128)
 
 
-def naive_dft(x, sign=-1, scale=1.0):
-    """Textbook double-loop DFT: out[k] = scale * sum x[n] e^{sign 2pi j k n / N}."""
+def naive_dft(x, sign=-1, scale=1.0, rows=None):
+    """Textbook double-loop DFT: out[k] = scale * sum x[n] e^{sign 2pi j k n / N}.
+
+    At each k in ``rows`` (all N by default); k*n is reduced mod N in
+    integers, so the angle stays below 2pi at any N.
+    """
     n = len(x)
     out = []
-    for k in range(n):
+    for k in range(n) if rows is None else rows:
         acc = 0j
         for i in range(n):
-            acc += complex(x[i]) * cmath.exp(sign * 2j * cmath.pi * k * i / n)
+            acc += complex(x[i]) * cmath.exp(sign * 2j * cmath.pi * (int(k) * i % n) / n)
         out.append(acc * scale)
     return np.array(out, dtype=np.complex128)
 

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,7 +62,9 @@ def test_make_plan_errors():
 def test_ric_plan_checks_itself():
     assert RicPlan(8, 4) == make_plan(8, 4)
     assert [f.name for f in dataclasses.fields(RicPlan)] == ["n", "c"]
-    for n, c in ((8.0, 4.0), (8, 4.0), (True, 2), (8, True), (16, 1), (16, 12), (16, 16), (2, 2)):
+    too_long = Fraction(10**5000)  # integral in value, but no int and too long to print
+    for n, c in ((8.0, 4.0), (8, 4.0), (True, 2), (8, True), (16, 1), (16, 12), (16, 16), (2, 2),
+                 (too_long, 2)):
         with pytest.raises(OutOfRangeError):
             RicPlan(n, c)
     with pytest.raises(NonDivisorError):

@@ -127,6 +127,70 @@ def test_direct_rows_block_memory():
         assert peak < (4 << 20) + (x.nbytes if n % math.isqrt(n) else 0), (n, c, direction, peak)
 
 
+def test_direct_rows_block_memory_at_a_poor_split():
+    # n = 2 * 524287 splits as B = 2, M = 524287: the 2 x M residue twiddles
+    # are gathered one depth slice at a time, never held whole (16 MiB)
+    n = 2 * 524287
+    x = random_complex(np.random.default_rng(8), n)
+    rows = np.array([0, n // 2], dtype=np.int64)
+    twiddle_table(n)
+    for direction in (F, I):
+        tracemalloc.start()
+        try:
+            engine._direct_rows(x, rows, direction)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (direction, peak)
+
+
+def _largest_divisor_to_root(m):
+    return max(d for d in range(1, math.isqrt(m) + 1) if m % d == 0)
+
+
+@pytest.mark.parametrize(
+    "m, b", [(1, 1), (2, 1), (3, 1), (4099, 1), (4006, 2), (4096, 64), (24000, 150), (3240, 54)]
+)
+def test_direct_rows_match_the_definition_for_every_split(m, b):
+    # m = B*M with B the largest divisor of m not above isqrt(m): B = 1 for a
+    # prime (and m <= 3), B = 2 for 2 * 2003, a square and non-square
+    # composites; random rows against the textbook sum at those rows only
+    assert engine._split(m) == (b, m // b) and b == _largest_divisor_to_root(m)
+    rng = np.random.default_rng(m + 1)
+    x = random_complex(rng, m)
+    for size in (1, 2, 5):
+        rows = np.sort(rng.choice(m, min(m, size), replace=False))
+        for direction, sign in ((F, -1), (I, +1)):
+            got = engine._direct_rows(x, rows.astype(np.int64), direction)
+            want = naive_dft(x, sign, rows=rows.tolist())
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= 1e-12, (size, direction, err)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 24, 4006, 4096, 3240, 24000])
+def test_twiddle_cells_count_what_the_blocks_hold(m):
+    # c*B + M*R: W_m**(k*j1) for each of the c rows, W_M**(r*j2) for each of
+    # the R residues k mod M of the rows, at least two
+    rng = np.random.default_rng(m)
+    b = _largest_divisor_to_root(m)
+    mm = m // b
+
+    def counted(rows):
+        per_residue, per_row = engine._twiddles(m, rows)
+        return sum(t.size for ts in per_residue for t in ts) + sum(a.size for a, _ in per_row)
+
+    for size in (1, 2, 5, m // 2 + 1, m):
+        rows = np.sort(rng.choice(m, min(m, size), replace=False)).astype(np.int64)
+        want = len(rows) * b + mm * max(2, len(set((rows % mm).tolist())))
+        assert counted(rows) == engine._twiddle_cells(m, rows) == want, size
+    # a plan's rows k*l, k < c, fall on min(c, M / gcd(l, M)) residues
+    for c in (2, 3, 8, 64, 512, 3000):
+        if m % c == 0 and c <= m // 2:
+            rows, l = np.arange(c, dtype=np.int64) * (m // c), m // c
+            want = c * b + mm * max(2, min(c, mm // math.gcd(l, mm)))
+            assert counted(rows) == engine._twiddle_cells(m, rows) == want, c
+
+
 def test_fft_length_one_and_golden():
     z = np.array([2.5 - 1.5j])
     np.testing.assert_array_equal(fft_radix2(z), z)

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -260,7 +261,8 @@ def test_length_mismatch():
 def test_tolerance_must_be_finite_and_non_negative():
     x = np.ones(4)
     assert compare_values(x, x, 0.0).passed
-    for tol in (float("nan"), float("inf"), -1.0, None, "x", "1e-9", True, [1e-9], 10**400):
+    too_long = Fraction(-(10**5000 + 1), 10**4999)  # finite, but no str of it fits the digit limit
+    for tol in (float("nan"), float("inf"), -1.0, None, "x", "1e-9", True, [1e-9], 10**400, too_long):
         with pytest.raises(OutOfRangeError):
             compare_values(x, x, tol)
         with pytest.raises(OutOfRangeError):
@@ -298,11 +300,13 @@ def test_oracle_is_the_direct_transform_at_the_retained_rows(n, cs):
 
 def test_oracle_keeps_read_only_twiddles_per_live_plan():
     rng = np.random.default_rng(41)
-    plan = make_plan(4096, 512)  # 512 rows of 64 + 64 values: 2**16, the limit
+    # 256 rows of B = 240 values and R = 16 residues of M = 256: 2**16, the limit
+    plan = make_plan(61440, 256)
     x = random_complex(rng, plan.n)
     ricdft.ric._oracle(x, plan, F, NONE)
     kept = ricdft.ric._kept[plan]
-    blocks = [block for a, v in kept for block in (*a, v)]
+    per_residue, per_row = kept
+    blocks = [t for ts in per_residue for t in ts] + [a for a, _ in per_row]
     before = [block.copy() for block in blocks]
     assert sum(block.size for block in blocks) == ricdft.ric._KEPT_CELLS
     # the inverse conjugates each block into a fresh array, never in place
@@ -310,15 +314,16 @@ def test_oracle_keeps_read_only_twiddles_per_live_plan():
     assert ricdft.ric._kept[plan] is kept
     for block, old in zip(blocks, before):
         assert not block.flags.writeable and block.tobytes() == old.tobytes()
-    # 2**17 and 648 * (56 + 58) = 73,872 values: over the limit, nothing kept
-    for n, c in ((4096, 1024), (3240, 648)):
+    # 256 * 256 + 256 * 2 = 66,048 and 1024 * 64 + 64 * 16 = 66,560 values:
+    # just over the limit, nothing kept
+    for n, c in ((65536, 256), (4096, 1024)):
         big = make_plan(n, c)
         ricdft.ric._oracle(random_complex(rng, n), big, F, NONE)
         assert big not in ricdft.ric._kept
     # the entry dies with its plan
     del plan, kept
     gc.collect()
-    assert make_plan(4096, 512) not in ricdft.ric._kept
+    assert make_plan(61440, 256) not in ricdft.ric._kept
 
 
 def test_oracle_is_independent_of_the_fast_path(monkeypatch):
@@ -391,6 +396,8 @@ def test_unknown_direction_or_mode_raises():
         lambda: correction_factor(NONE, "bogus", plan),
         lambda: verify_against_oracle(x, plan, "bogus"),
         lambda: verify_against_oracle(x, plan, NONE, "bogus"),
+        lambda: ric_dft(x, plan, 10**5000),  # too long to print whole
+        lambda: verify_against_oracle(x, plan, NONE, 10**5000),
     )
     for call in calls:
         with pytest.raises(OutOfRangeError):
