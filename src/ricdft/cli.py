@@ -10,6 +10,7 @@ Exit codes: 0 success (or verification pass), 1 verification failure,
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -69,11 +70,7 @@ def cmd_plan(args) -> int:
             "plan": {"n": plan.n, "c": plan.c, "l": plan.l, "q": plan.q, "p": plan.p},
             "sample_rate": proposal.sample_rate,
             "bin_width": proposal.bin_width,
-            "assignments": [
-                {"target": a.target, "k": a.k, "bin_index": a.bin_index,
-                 "achieved": a.achieved, "rel_error": a.rel_error}
-                for a in proposal.assignments
-            ],
+            "assignments": [dataclasses.asdict(a) for a in proposal.assignments],
         }
         print(json.dumps(doc, indent=2))
     else:
@@ -81,7 +78,7 @@ def cmd_plan(args) -> int:
         print(f"sample_rate={proposal.sample_rate!r} bin_width={proposal.bin_width!r}")
         print("target_hz,k,bin_index,achieved_hz,rel_error")
         for a in proposal.assignments:
-            print(f"{a.target!r},{a.k},{a.bin_index},{a.achieved!r},{a.rel_error!r}")
+            print(",".join(map(repr, dataclasses.astuple(a))))
     return 0
 
 

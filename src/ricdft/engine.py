@@ -6,18 +6,20 @@ direct DFT/IDFT by the definition for any length shares its contract; its
 row kernel also gives the oracle its c retained rows.
 
 Twiddle factors come from one table per length m, entry r holding
-W_m**(-r) = exp(-2j*pi*r/m); the _TABLES most recently used stay cached.
+W_m**(-r) = exp(-2j*pi*r/m); the _TABLES most recently used stay cached
+(a verify reads one, of length n).
 Exponents stay exact integers and are reduced modulo m before the table
 is indexed, so W_m**a == W_m**(a mod m) holds exactly even for huge
 exponents.  The direct row kernel splits j = j1 + B*j2 for m = B*M as
 Bailey's four-step FFT (1990) does, but sums over j2 first, once per
 residue k mod M of the rows, and then over j1 per row, as output-pruned
 DFTs do (Sorensen & Burrus, 1993): c rows on R residues take m*R + c*B
-products, not m*c.  ``_twiddles`` gathers the forward blocks it reads,
-which a caller may keep (the oracle does, per plan); the inverse never
-conjugates one in place.  Every path scales in one epilogue, ``_scaled``,
-by the :mod:`ricdft.core` factor at a given length (n for the pipeline
-and the oracle, whose sums are c of n rows).
+products, not m*c.  ``_twiddles`` gathers the forward blocks it reads
+and counts their values, so a caller may keep them (the oracle does, per
+plan, when they are few); the inverse never conjugates one in place.
+Every path scales in one epilogue, ``_scaled``, by the :mod:`ricdft.core`
+factor at a given length (n for the pipeline and the oracle, whose sums
+are c of n rows).
 
 Operation counting conventions: the direct engine counts the definition,
 every twiddle product (including multiplications by 1, -1, +-j) as one
@@ -39,9 +41,10 @@ import numpy as np
 from .core import (Direction, NormalizationMode, OpCounter, _member, _scale, as_complex_sequence,
                    is_power_of_two)
 
-# Twiddle tables kept at once, for the oracle at length n and dft_direct at
-# length c in turn; building one is O(M) against the O(M * rows) of the row
-# kernel reading it.
+# Twiddle tables kept at once.  A verify reads one, of length n; nothing in
+# the package reads a second, which serves a caller alternating two lengths,
+# such as dft_direct at one and the oracle at another.  Building a table is
+# O(M) against the O(M * rows) of the row kernel reading it.
 _TABLES = 2
 
 # Values a twiddle block of the direct row kernel aims at: 2**13 complex
@@ -107,8 +110,9 @@ def _direct_rows(x: np.ndarray, rows: np.ndarray, direction: Direction,
     """Unscaled sums over j of x[j] * W_m**(-+ k*j) at each row k in ``rows``.
 
     x is a validated length-m sequence, ``rows`` int64 indices in [0, m)
-    and ``direction`` a member; ``twiddles`` is what ``_twiddles(m, rows)``
-    returned to an earlier call, or None to gather the blocks afresh.
+    and ``direction`` a member; ``twiddles`` is the pair of blocks
+    ``_twiddles(m, rows)`` returned, kept or fresh, or None to gather them
+    here (then ``rows`` is read, else never).
 
     With m = B*M as ``_split`` gives it and j = j1 + B*j2, row k is the sum
     over j1 of W_m**(k*j1) * Y[k mod M, j1], Y[r, j1] the sum over j2 of
@@ -119,7 +123,7 @@ def _direct_rows(x: np.ndarray, rows: np.ndarray, direction: Direction,
     """
     xt = x.reshape(-1, _split(len(x))[0])  # xt[j2, j1] = x[j1 + B*j2]
     inverse = direction is Direction.INVERSE
-    per_residue, per_row = _twiddles(len(x), rows) if twiddles is None else twiddles
+    per_residue, per_row = _twiddles(len(x), rows)[:2] if twiddles is None else twiddles
     # a comprehension holds no gathered block past its use, so one is alive at a time
     y = np.concatenate([sum((np.conjugate(t) if inverse else t) @ xt[d:d + _DEPTH]
                             for d, t in zip(range(0, len(xt), _DEPTH), ts)) for ts in per_residue])
@@ -137,14 +141,15 @@ def _split(m: int) -> tuple[int, int]:
 
 
 def _twiddles(m: int, rows: np.ndarray):
-    """Forward twiddle blocks of the row kernel at length m: (per residue, per row).
+    """Forward twiddle blocks of the row kernel at length m: (per residue, per row, values).
 
     The first yields per chunk of the rows' residues r = k mod M (two or
     more, repeated if need be) its depth slices of W_m**(r*B*j2), lazily;
     the second per block of rows k W_m**(k*j1) and each row's residue index.
     Exponents are reduced modulo m in integers; a slice, a block and a
-    chunk's product hold about _BLOCK_CELLS values, and all total
-    ``_twiddle_cells(m, rows)`` and are read-only, so none kept can change.
+    chunk's product hold about _BLOCK_CELLS values, and all are read-only,
+    so none kept can change.  ``values`` counts what the blocks hold,
+    c*B + M*R for c rows on R residues, before any is gathered.
     """
     table, (b, mm) = twiddle_table(m), _split(m)
     residues = sorted(set((rows % mm).tolist()))  # np.unique's first call maps 1.7 MiB (numpy 2.4)
@@ -164,13 +169,7 @@ def _twiddles(m: int, rows: np.ndarray):
     j1, sections = np.arange(b, dtype=np.int64), max(1, len(rows) * b // _BLOCK_CELLS)
     per_row = ((gather(k * j1), i) for k, i in zip(np.array_split(rows[:, None], sections),
                                                    np.array_split(which, sections)))
-    return per_residue, per_row
-
-
-def _twiddle_cells(m: int, rows: np.ndarray) -> int:
-    """Values in all the blocks of ``_twiddles(m, rows)``: c*B + M*R for c rows on R residues."""
-    b, mm = _split(m)
-    return len(rows) * b + mm * max(2, len(set((rows % mm).tolist())))
+    return per_residue, per_row, len(rows) * b + mm * len(residues)
 
 
 def transform(

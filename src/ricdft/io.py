@@ -11,9 +11,13 @@ string value.
 A csv signal is parsed in one ``np.loadtxt`` pass.  The line loop runs only
 on a file that pass does not take (a bad line, no samples, or a number form
 only ``float()`` reads, such as ``1_0``): it returns the same values, bit for
-bit, or raises :class:`SignalFileError` with the first bad line.
+bit, or raises :class:`SignalFileError` with the first bad line.  Both read
+the text through ``_csv_text``, which alone states how it is decoded and
+which line is the header.  A spectrum's csv lines and json entries come
+from one list of (k, index, re, im) rows.
 """
 
+import contextlib
 import json
 import math
 import warnings
@@ -46,8 +50,25 @@ def read_signal(path, fmt=SignalFormat.CSV) -> np.ndarray:
     return _read_raw(path)
 
 
-def _read_csv(path) -> np.ndarray:
+@contextlib.contextmanager
+def _csv_text(path):
+    """(text file, number of the line it is at): a csv signal, open past its header.
+
+    Bytes that are not UTF-8 decode to lone surrogates, which no number
+    parses.  The first line that is not blank is the optional header when
+    it reads "re,im", in any case and with spaces anywhere.
+    """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        lines = enumerate(iter(fh.readline, ""), start=1)
+        lineno, first = next(((i, line) for i, line in lines if line.strip()), (0, ""))
+        if first.strip().replace(" ", "").lower() != "re,im":
+            fh.seek(0)  # no header: every line is read, from the first
+            lineno = 0
+        yield fh, lineno + 1
+
+
+def _read_csv(path) -> np.ndarray:
+    with _csv_text(path) as (fh, _):
         rows = _loadtxt(fh)
     if rows is not None and rows.shape[1] == 2 and np.all(np.isfinite(rows)):
         return rows.view(np.complex128).ravel()
@@ -56,16 +77,12 @@ def _read_csv(path) -> np.ndarray:
 
 
 def _loadtxt(fh):
-    """At least one row of floats after the optional header, in one np.loadtxt pass, or None."""
+    """At least one row of floats from where fh is, in one np.loadtxt pass, or None."""
+    start = fh.tell()
     for chunk in iter(lambda: fh.read(1 << 16), ""):
         if any(ch in chunk for ch in "\x1c\x1d\x1e\x1f"):
             return None  # loadtxt strips these around a field, float() does not
-    fh.seek(0)
-    for line in iter(fh.readline, ""):
-        if line.strip():
-            if not _is_header(line):
-                fh.seek(0)
-            break
+    fh.seek(start)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # no rows: loadtxt warns, so raise
@@ -74,37 +91,22 @@ def _loadtxt(fh):
         return None
 
 
-def _is_header(line: str) -> bool:
-    return line.strip().replace(" ", "").lower() == "re,im"
-
-
 def _read_csv_lines(path) -> np.ndarray:
     samples = []
-    first_content = True
-    # bytes that are not UTF-8 decode to lone surrogates, which no number parses
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with _csv_text(path) as (fh, start):
+        for lineno, raw in enumerate(fh, start=start):
             line = raw.strip()
             if not line:
                 continue
-            is_first = first_content
-            first_content = False
-            if is_first and _is_header(line):
-                continue  # optional header, first content line only
             try:
                 re_text, im_text = line.split(",")
-                re, im = float(re_text), float(im_text)
+                z = complex(float(re_text), float(im_text))
             except ValueError:  # other than two fields, or a bad number
-                raise SignalFileError(
-                    f"{path}: line {lineno}: expected 're,im', got {line!r}",
-                    path=path, line=lineno,
-                ) from None
-            if not (math.isfinite(re) and math.isfinite(im)):
-                raise SignalFileError(
-                    f"{path}: line {lineno}: non-finite sample {line!r}",
-                    path=path, line=lineno,
-                )
-            samples.append(complex(re, im))
+                z = None
+            if z is None or not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                what = "expected 're,im', got" if z is None else "non-finite sample"
+                raise SignalFileError(f"{path}: line {lineno}: {what} {line!r}", path=path, line=lineno)
+            samples.append(z)
     if not samples:
         raise SignalFileError(f"{path}: no samples", path=path)
     return np.array(samples, dtype=np.complex128)
@@ -145,26 +147,24 @@ def write_spectrum(spectrum: RicSpectrum, path, fmt="csv"):
     The json document holds a header record with the plan and conventions
     plus the list of entry records.
     """
-    fmt = str(fmt).lower()
-    if fmt == "csv":
+    kind = str(fmt).lower() if isinstance(fmt, str) else None
+    if kind not in ("csv", "json"):
+        raise OutOfRangeError(f"unknown spectrum format {_shown(fmt)}")
+    fields = ("k", "index", "re", "im")
+    rows = [(k, idx, float(z.real), float(z.imag)) for k, (idx, z) in enumerate(spectrum.entries)]
+    if kind == "csv":
         with open(path, "w", newline="") as fh:
-            fh.write("k,index,re,im\n")
-            for k, (idx, z) in enumerate(spectrum.entries):
-                fh.write(f"{k},{idx},{float(z.real)!r},{float(z.imag)!r}\n")
-    elif fmt == "json":
+            fh.write(",".join(fields) + "\n")
+            fh.writelines(f"{k},{idx},{re!r},{im!r}\n" for k, idx, re, im in rows)
+    else:
         doc = {
             "header": {"n": spectrum.plan.n, "c": spectrum.plan.c, "l": spectrum.plan.l,
                        "mode": spectrum.mode.value, "direction": spectrum.direction.value},
-            "entries": [
-                {"k": k, "index": idx, "re": float(z.real), "im": float(z.imag)}
-                for k, (idx, z) in enumerate(spectrum.entries)
-            ],
+            "entries": [dict(zip(fields, row)) for row in rows],
         }
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-    else:
-        raise OutOfRangeError(f"unknown spectrum format {fmt!r}")
 
 
 def synthesize_tones(n: int, tones) -> np.ndarray:

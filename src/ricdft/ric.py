@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (Direction, LengthMismatchError, NormalizationMode, RicPlan, _complex_array,
                    _member, _tolerance)
-from .engine import _direct_rows, _fft, _scaled, _twiddle_cells, _twiddles, op_counts
+from .engine import _direct_rows, _fft, _scaled, _twiddles, op_counts
 from .fold import fold
 
 
@@ -162,12 +162,14 @@ def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> 
     row kernel of :func:`dft_direct` and so its rows bit for bit, whether
     its twiddle blocks are kept or gathered afresh.  The rows fall on R
     residues mod M (R = 8 at n = 4096, c = 512); the fold, the c-point FFT
-    and W_n**(l*m) = W_c**m go unused.
+    and W_n**(l*m) = W_c**m go unused.  Only a gather builds the rows: kept
+    blocks carry them.
     Checks nothing: the fold has accepted x (its length, and a NaN/Inf
     sample through its column sum) and direction and mode are members.
     """
-    rows, twiddles = ric_index_set(plan), _kept.get(plan)
-    if twiddles is None and _twiddle_cells(plan.n, rows) <= _KEPT_CELLS:
-        per_residue, per_row = _twiddles(plan.n, rows)
-        twiddles = _kept[plan] = [list(ts) for ts in per_residue], list(per_row)
-    return _scaled(_direct_rows(x, rows, direction, twiddles), direction, mode, plan.n)
+    if (twiddles := _kept.get(plan)) is None:
+        per_residue, per_row, values = _twiddles(plan.n, ric_index_set(plan))
+        twiddles = per_residue, per_row
+        if values <= _KEPT_CELLS:
+            twiddles = _kept[plan] = [list(ts) for ts in per_residue], list(per_row)
+    return _scaled(_direct_rows(x, None, direction, twiddles), direction, mode, plan.n)

@@ -137,6 +137,105 @@ def test_plan_infeasible_exit_2(capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+PLAN_ARGV = ("plan", "--sample-rate", 1000, "--targets", "141.4213562373095,250",
+             "--max-n", 64, "--tol", 0.2)
+
+PLAN_TEXT = """\
+plan: n=16 c=8 l=2
+sample_rate=1000.0 bin_width=62.5
+target_hz,k,bin_index,achieved_hz,rel_error
+141.4213562373095,1,2,125.0,0.11611652351681563
+250.0,2,4,250.0,0.0
+"""
+
+PLAN_JSON = """\
+{
+  "plan": {
+    "n": 16,
+    "c": 8,
+    "l": 2,
+    "q": 4,
+    "p": 3
+  },
+  "sample_rate": 1000.0,
+  "bin_width": 62.5,
+  "assignments": [
+    {
+      "target": 141.4213562373095,
+      "k": 1,
+      "bin_index": 2,
+      "achieved": 125.0,
+      "rel_error": 0.11611652351681563
+    },
+    {
+      "target": 250.0,
+      "k": 2,
+      "bin_index": 4,
+      "achieved": 250.0,
+      "rel_error": 0.0
+    }
+  ]
+}
+"""
+
+DFT_CSV = "k,index,re,im\n0,0,6.0,4.0\n1,2,-10.0,8.0\n2,4,6.0,-20.0\n3,6,-18.0,-8.0\n"
+
+IDFT_JSON = """\
+{
+  "header": {
+    "n": 8,
+    "c": 4,
+    "l": 2,
+    "mode": "recip-n",
+    "direction": "inverse"
+  },
+  "entries": [
+    {
+      "k": 0,
+      "index": 0,
+      "re": 0.75,
+      "im": 0.5
+    },
+    {
+      "k": 1,
+      "index": 2,
+      "re": -2.25,
+      "im": -1.0
+    },
+    {
+      "k": 2,
+      "index": 4,
+      "re": 0.75,
+      "im": -2.5
+    },
+    {
+      "k": 3,
+      "index": 6,
+      "re": -1.25,
+      "im": 1.0
+    }
+  ]
+}
+"""
+
+
+def test_rendered_bytes(tmp_path, capsys):
+    # byte for byte: the plan's text and json, a csv and a json spectrum
+    assert run(*PLAN_ARGV) == 0
+    assert capsys.readouterr().out == PLAN_TEXT
+    assert run(*PLAN_ARGV, "--json") == 0
+    assert capsys.readouterr().out == PLAN_JSON
+    src = tmp_path / "x.csv"
+    write_signal(GOLDEN_X, src)
+    for name, fmt, direction, want in (("dft", "csv", "forward", DFT_CSV),
+                                       ("idft", "json", "inverse", IDFT_JSON)):
+        out = tmp_path / f"{name}.{fmt}"
+        assert run(name, "--in", src, "--out", out, "--n", 8, "--c", 4, "--out-format", fmt) == 0
+        assert capsys.readouterr().out == (f"{direction} transform at indices 0,2,..,6"
+                                           " (complex_adds=12, complex_mults=4)\n")
+        assert out.read_bytes() == want.encode()
+
+
 def test_plan_empty_targets_usage_error():
     assert run("plan", "--sample-rate", 800, "--targets", "", "--max-n", 64) == 2
 

@@ -168,27 +168,28 @@ def test_direct_rows_match_the_definition_for_every_split(m, b):
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 24, 4006, 4096, 3240, 24000])
-def test_twiddle_cells_count_what_the_blocks_hold(m):
+def test_twiddles_count_the_values_their_blocks_hold(m):
     # c*B + M*R: W_m**(k*j1) for each of the c rows, W_M**(r*j2) for each of
-    # the R residues k mod M of the rows, at least two
+    # the R residues k mod M of the rows, at least two; the count comes with
+    # the blocks, before any is gathered
     rng = np.random.default_rng(m)
     b = _largest_divisor_to_root(m)
     mm = m // b
 
     def counted(rows):
-        per_residue, per_row = engine._twiddles(m, rows)
-        return sum(t.size for ts in per_residue for t in ts) + sum(a.size for a, _ in per_row)
+        per_residue, per_row, values = engine._twiddles(m, rows)
+        held = sum(t.size for ts in per_residue for t in ts) + sum(a.size for a, _ in per_row)
+        assert held == values
+        return values
 
     for size in (1, 2, 5, m // 2 + 1, m):
         rows = np.sort(rng.choice(m, min(m, size), replace=False)).astype(np.int64)
-        want = len(rows) * b + mm * max(2, len(set((rows % mm).tolist())))
-        assert counted(rows) == engine._twiddle_cells(m, rows) == want, size
+        assert counted(rows) == len(rows) * b + mm * max(2, len(set((rows % mm).tolist()))), size
     # a plan's rows k*l, k < c, fall on min(c, M / gcd(l, M)) residues
     for c in (2, 3, 8, 64, 512, 3000):
         if m % c == 0 and c <= m // 2:
             rows, l = np.arange(c, dtype=np.int64) * (m // c), m // c
-            want = c * b + mm * max(2, min(c, mm // math.gcd(l, mm)))
-            assert counted(rows) == engine._twiddle_cells(m, rows) == want, c
+            assert counted(rows) == c * b + mm * max(2, min(c, mm // math.gcd(l, mm))), c
 
 
 def test_fft_length_one_and_golden():

@@ -157,6 +157,29 @@ def test_write_spectrum_json_from_string_arguments(tmp_path):
     assert header == {"n": 8, "c": 4, "l": 2, "mode": "unitary", "direction": "inverse"}
 
 
+@pytest.mark.parametrize("fmt, shown", [
+    ("wav", "'wav'"),
+    (10**5000, "<16610-bit integer>"),  # too long to print: no plain ValueError
+    (SignalFormat.CSV, "<SignalFormat.CSV: 'csv'>"),  # a signal format, named as given
+], ids=["wav", "int-too-long", "signal-format"])
+def test_write_spectrum_rejects_unknown_formats(tmp_path, fmt, shown):
+    spectrum = ric_dft(GOLDEN_X, make_plan(8, 4), NormalizationMode.NONE)
+    with pytest.raises(OutOfRangeError) as excinfo:
+        write_spectrum(spectrum, tmp_path / "spec.out", fmt)
+    assert str(excinfo.value) == f"unknown spectrum format {shown}"
+    assert not (tmp_path / "spec.out").exists()
+
+
+def test_write_spectrum_format_in_any_case(tmp_path):
+    spectrum = ric_dft(GOLDEN_X, make_plan(8, 4), NormalizationMode.NONE)
+    want, got = tmp_path / "want", tmp_path / "got"
+    for kind in ("csv", "json"):
+        write_spectrum(spectrum, want, kind)
+        for spelling in (kind.upper(), kind.capitalize()):
+            write_spectrum(spectrum, got, spelling)
+            assert got.read_bytes() == want.read_bytes(), spelling
+
+
 def test_write_spectrum_bad_path(tmp_path):
     spectrum = ric_dft(GOLDEN_X, make_plan(8, 4), NormalizationMode.NONE)
     with pytest.raises(OSError):

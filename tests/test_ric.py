@@ -326,6 +326,27 @@ def test_oracle_keeps_read_only_twiddles_per_live_plan():
     assert make_plan(61440, 256) not in ricdft.ric._kept
 
 
+def test_second_verify_under_a_kept_plan_gathers_nothing(monkeypatch):
+    # the second call reads the kept blocks: no gather, and no index set
+    # beyond the one the pipeline builds for its spectrum
+    plan = make_plan(4096, 512)
+    x = random_complex(np.random.default_rng(42), plan.n)
+    verify_against_oracle(x, plan)
+    assert plan in ricdft.ric._kept
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ricdft.ric, "_twiddles", counting(ricdft.ric._twiddles))
+    monkeypatch.setattr(ricdft.ric, "ric_index_set", counting(ricdft.ric.ric_index_set))
+    assert verify_against_oracle(x, plan, direction=I).passed
+    assert calls == ["ric_index_set"]
+
+
 def test_oracle_is_independent_of_the_fast_path(monkeypatch):
     x = random_complex(np.random.default_rng(39), 96)
     plans = [make_plan(96, c) for c in (2, 12, 48)]
