@@ -7,19 +7,18 @@ row kernel also gives the oracle its c retained rows.
 
 Twiddle factors come from one table per length m, entry r holding
 W_m**(-r) = exp(-2j*pi*r/m); the _TABLES most recently used stay cached
-(a verify reads one, of length n).
-Exponents stay exact integers and are reduced modulo m before the table
-is indexed, so W_m**a == W_m**(a mod m) holds exactly even for huge
-exponents.  The direct row kernel splits j = j1 + B*j2 for m = B*M as
-Bailey's four-step FFT (1990) does, but sums over j2 first, once per
-residue k mod M of the rows, and then over j1 per row, as output-pruned
-DFTs do (Sorensen & Burrus, 1993): c rows on R residues take m*R + c*B
-products, not m*c.  ``_twiddles`` gathers the forward blocks it reads
-and counts their values, so a caller may keep them (the oracle does, per
-plan, when they are few); the inverse never conjugates one in place.
-Every path scales in one epilogue, ``_scaled``, by the :mod:`ricdft.core`
-factor at a given length (n for the pipeline and the oracle, whose sums
-are c of n rows).
+(a verify reads one, of length n).  Exponents stay exact integers,
+reduced modulo m before the table is indexed, so W_m**a == W_m**(a mod m)
+holds exactly even for huge exponents.  The direct row kernel serves the
+rows k = step*q and splits j = j1 + B*j2 for m = B*M as Bailey's
+four-step FFT (1990) does, but sums over j2 first, once per residue
+k mod M, then over j1 per row, as output-pruned DFTs do (Sorensen &
+Burrus, 1993): c rows on P residues take m*P + c*B products, not m*c.
+``_twiddles`` gathers the forward blocks it reads and counts their
+values, c*B + M*P, so a caller may keep them (the oracle does, per plan,
+when they are few); none is conjugated in place.  Every path scales in
+one epilogue, ``_scaled``, by the :mod:`ricdft.core` factor at a given
+length (n for the pipeline and the oracle, whose sums are c of n rows).
 
 Operation counting conventions: the direct engine counts the definition,
 every twiddle product (including multiplications by 1, -1, +-j) as one
@@ -98,39 +97,42 @@ def dft_direct(
     x = as_complex_sequence(x)
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
     m = len(x)
-    out = _direct_rows(x, np.arange(m, dtype=np.int64), direction)
+    out = _direct_rows(x, 1, direction)
     if counter is not None:
         counter.mul(m * m)
         counter.add(m * (m - 1))
     return _scaled(out, direction, mode, m)
 
 
-def _direct_rows(x: np.ndarray, rows: np.ndarray, direction: Direction,
-                 twiddles=None) -> np.ndarray:
-    """Unscaled sums over j of x[j] * W_m**(-+ k*j) at each row k in ``rows``.
+def _direct_rows(x: np.ndarray, step: int, direction: Direction, twiddles=None) -> np.ndarray:
+    """Unscaled sums over j of x[j] * W_m**(-+ k*j) at the rows k = step*q, q < m/step.
 
-    x is a validated length-m sequence, ``rows`` int64 indices in [0, m)
-    and ``direction`` a member; ``twiddles`` is the pair of blocks
-    ``_twiddles(m, rows)`` returned, kept or fresh, or None to gather them
-    here (then ``rows`` is read, else never).
-
-    With m = B*M as ``_split`` gives it and j = j1 + B*j2, row k is the sum
-    over j1 of W_m**(k*j1) * Y[k mod M, j1], Y[r, j1] the sum over j2 of
-    W_M**(r*j2) * x[j1 + B*j2].  A row gets the same bits in any row set: Y
-    comes from BLAS products of depth _DEPTH over two or more residues (one
-    would take BLAS's vector path, which rounds differently), and each
-    row's sum over j1 is a dot product of its own.
+    x is a validated length-m sequence, ``step`` divides m, ``direction`` is
+    a member and ``twiddles`` the blocks ``_twiddles(m, step)`` returned, kept
+    or fresh, or None to gather them here.  With m = B*M as ``_split`` gives
+    it and j = j1 + B*j2, row k is the sum over j1 of W_m**(k*j1) *
+    Y[k mod M, j1], Y[r, j1] the sum over j2 of W_M**(r*j2) * x[j1 + B*j2],
+    formed at the residues g*i, i < P (g = gcd(step, M), P = M/g).  Row q
+    reads Y's row (q*step/g) mod P, so those rows are permuted once and each
+    row block reads them in order from its first row's place p.  A row gets
+    the same bits at any step: Y comes from BLAS products of depth _DEPTH
+    over two or more residues (one would take BLAS's vector path, which
+    rounds differently), and each row's sum over j1 is a dot product of its own.
     """
-    xt = x.reshape(-1, _split(len(x))[0])  # xt[j2, j1] = x[j1 + B*j2]
-    inverse = direction is Direction.INVERSE
-    per_residue, per_row = _twiddles(len(x), rows)[:2] if twiddles is None else twiddles
+    b, mm = _split(len(x))
+    xt, period = x.reshape(-1, b), mm // math.gcd(step, mm)  # xt[j2, j1] = x[j1 + B*j2]
+    inverse, stride = direction is Direction.INVERSE, step * period // mm  # stride = step/g
+    per_residue, per_row = _twiddles(len(x), step)[:2] if twiddles is None else twiddles
     # a comprehension holds no gathered block past its use, so one is alive at a time
-    y = np.concatenate([sum((np.conjugate(t) if inverse else t) @ xt[d:d + _DEPTH]
-                            for d, t in zip(range(0, len(xt), _DEPTH), ts)) for ts in per_residue])
+    y = [functools.reduce(np.add, ((np.conjugate(t) if inverse else t) @ xt[d:d + _DEPTH] for d, t
+                                   in zip(range(0, len(xt), _DEPTH), ts))) for ts in per_residue]
+    y = y[0] if len(y) == 1 else np.concatenate(y)
+    y = y[:period] if (stride - 1) % period == 0 else y[np.arange(period) * stride % period]
     # vecdot(a, v) sums conj(a)*v: the inverse reads the forward row blocks as
     # they are, and the forward takes conj(vecdot(a, conj(Y)))
     y = y if inverse else np.conjugate(y, out=y)
-    out = np.concatenate([np.vecdot(a, y[which]) for a, which in per_row])
+    out = [np.vecdot(a, y[p:p + a.shape[1]]) for a, p in per_row]
+    out = out[0].reshape(-1) if len(out) == 1 else np.concatenate(out, axis=None)
     return out if inverse else np.conjugate(out, out=out)
 
 
@@ -140,21 +142,20 @@ def _split(m: int) -> tuple[int, int]:
     return b, m // b
 
 
-def _twiddles(m: int, rows: np.ndarray):
+def _twiddles(m: int, step: int, cells: int = _BLOCK_CELLS):
     """Forward twiddle blocks of the row kernel at length m: (per residue, per row, values).
 
-    The first yields per chunk of the rows' residues r = k mod M (two or
-    more, repeated if need be) its depth slices of W_m**(r*B*j2), lazily;
-    the second per block of rows k W_m**(k*j1) and each row's residue index.
-    Exponents are reduced modulo m in integers; a slice, a block and a
-    chunk's product hold about _BLOCK_CELLS values, and all are read-only,
-    so none kept can change.  ``values`` counts what the blocks hold,
-    c*B + M*R for c rows on R residues, before any is gathered.
+    For the rows k = step*q on the residues g*i, i < P, of ``_direct_rows``
+    (two or more, repeated if need be): per chunk of residues r its depth
+    slices of W_m**(r*B*j2), lazily, and per block of rows W_m**(k*j1) with
+    p, its first row's place in a period; a block is whole periods, shaped
+    (periods, P, B), or if one holds over ``cells`` values, (1, h, B) from p.
+    Exponents are reduced modulo m in integers; blocks are read-only, so none
+    kept can change; ``values`` counts them, c*B + M*max(2, P) for c = m/step.
     """
     table, (b, mm) = twiddle_table(m), _split(m)
-    residues = sorted(set((rows % mm).tolist()))  # np.unique's first call maps 1.7 MiB (numpy 2.4)
-    residues = np.resize(residues, max(2, len(residues)))  # repeated: BLAS's vector path rounds apart
-    which = np.searchsorted(residues, rows % mm)
+    period = mm // math.gcd(step, mm)
+    residues = np.resize(np.arange(0, mm, mm // period), max(2, period))  # one would go to BLAS's gemv
 
     def gather(exponents):
         block = table[exponents % m]
@@ -166,10 +167,11 @@ def _twiddles(m: int, rows: np.ndarray):
 
     chunks = max(1, len(residues) // max(2, _BLOCK_CELLS // max(_DEPTH, b)))  # two or more residues
     per_residue = map(depth_slices, np.array_split(residues[:, None], chunks))
-    j1, sections = np.arange(b, dtype=np.int64), max(1, len(rows) * b // _BLOCK_CELLS)
-    per_row = ((gather(k * j1), i) for k, i in zip(np.array_split(rows[:, None], sections),
-                                                   np.array_split(which, sections)))
-    return per_residue, per_row, len(rows) * b + mm * len(residues)
+    k = np.arange(0, m, step, dtype=np.int64).reshape(-1, period, 1)  # k = step*q, a period a row
+    t, h = max(1, cells // (period * b)), min(period, max(1, cells // b))  # periods, rows of one
+    per_row = ((gather(k[i:i + t, p:p + h] * np.arange(b)), p)
+               for i in range(0, len(k), t) for p in range(0, period, h))
+    return per_residue, per_row, m // step * b + mm * len(residues)
 
 
 def transform(

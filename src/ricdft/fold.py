@@ -9,6 +9,7 @@ Folds compose (n -> w -> c is the n -> c fold when c | w | n), so the
 kernel first folds a near-square rectangle, adding few long rows per pass.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ def fold(x, plan: RicPlan, counter: OpCounter | None = None) -> FoldedSequence:
     Halves l and doubles the width w (first c) while l is even and l > w,
     sums the l' x w columns, then folds those w sums to c when w > c: a
     fixed order, not by ascending row.  NaN/Inf (or overflow) is sought in
-    the c sums.
+    the c sums one by one only when their total is not finite.
     """
     x = _complex_array(x)
     if len(x) != plan.n:
@@ -43,7 +44,8 @@ def fold(x, plan: RicPlan, counter: OpCounter | None = None) -> FoldedSequence:
         out = np.add.reduce(x.reshape(l, w), axis=0)
         if w > plan.c:
             out = np.add.reduce(out.reshape(w // plan.c, plan.c), axis=0)
-    _finite(out, "sequence, or a column sum overflows")
+        if not cmath.isfinite(out.sum()):  # any sum not finite, or finite sums overflowing
+            _finite(out, "sequence, or a column sum overflows")
     if counter is not None:
         counter.add(plan.c * (plan.l - 1))
     return FoldedSequence(samples=out, plan=plan)

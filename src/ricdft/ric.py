@@ -12,8 +12,8 @@ DFT at the retained indices, so nothing is scaled at length c
 The cost of a call follows from its plan alone: :func:`ric_op_counts`.
 
 :func:`verify_against_oracle` re-derives the same coefficients from the
-definition at the c retained rows only, in about n*R + c*B products for
-n = B*M and R residues of the rows mod M (:mod:`ricdft.engine`), and
+definition at the c retained rows only, in about n*P + c*B products for
+n = B*M and P residues of the rows mod M (:mod:`ricdft.engine`), and
 reports the disagreement: the package's ground-truth equivalence check.
 """
 
@@ -68,14 +68,13 @@ def _ric(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> Ric
     """
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
     indices = ric_index_set(plan)  # first, so its temporary is freed before the sums exist
-    sums = fold(x, plan).samples  # a fresh array: transformed and scaled in its own buffer
-    return RicSpectrum(
-        indices=indices,
-        values=_scaled(_fft(sums, direction, out=sums), direction, mode, plan.n),
-        plan=plan,
-        mode=mode,
-        direction=direction,
-    )
+    return RicSpectrum(indices, _values(x, plan, direction, mode), plan, mode, direction)
+
+
+def _values(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
+    """The pipeline's c values: the fold's fresh sums, transformed and scaled in their own buffer."""
+    sums = fold(x, plan).samples
+    return _scaled(_fft(sums, direction, out=sums), direction, mode, plan.n)
 
 
 def ric_dft(x, plan: RicPlan, mode: NormalizationMode = NormalizationMode.NONE) -> RicSpectrum:
@@ -120,8 +119,8 @@ def compare_values(got, oracle, tolerance: float = 1e-9) -> VerificationReport:
 
 def _report(got: np.ndarray, oracle: np.ndarray, tolerance: float) -> VerificationReport:
     """:func:`compare_values` of two checked arrays of one shape and a checked tolerance."""
-    max_abs = float(np.max(np.abs(got - oracle)))
-    denom = float(np.max(np.abs(oracle)))
+    max_abs = float(np.abs(got - oracle).max())
+    denom = float(np.abs(oracle).max())
     max_rel = max_abs / denom if denom > 0.0 else (0.0 if max_abs == 0.0 else float("inf"))
     return VerificationReport(max_abs, max_rel, passed=max_rel <= tolerance, tolerance=tolerance)
 
@@ -138,38 +137,34 @@ def verify_against_oracle(
     Both paths are evaluated at the retained indices k*L; the relative
     error is measured against the max magnitude of the direct values.
     Passes iff max_rel_error <= tolerance; a bad tolerance raises first.
-    Each argument is checked once; the oracle takes the pipeline's members.
+    Each argument is checked once; only the two compared arrays are built.
     """
     tolerance = _tolerance(tolerance)
     x = _complex_array(x)  # the fold's own conversion of this array is the identity
-    spectrum = _ric(x, plan, direction, mode)
-    oracle = _oracle(x, plan, spectrum.direction, spectrum.mode)
-    return _report(spectrum.values, oracle, tolerance)
+    direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
+    return _report(_values(x, plan, direction, mode), _oracle(x, plan, direction, mode), tolerance)
 
 
-# The oracle keeps a live plan's forward twiddle blocks, read-only, when they
-# total at most this many values (1 MiB of complex128): gathering them is most
-# of a call at n = 4096, and a verify after the first under the same plan reads
-# them back.  An entry dies with its plan; larger plans gather blocks per call.
+# A live plan keeps its oracle's forward twiddle blocks, read-only, when they total at most
+# this many values (1 MiB), as gathering them is most of a call at n = 4096; an entry dies with it.
 _KEPT_CELLS = 1 << 16
 _kept = weakref.WeakKeyDictionary()
 
 
 def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
-    """The retained coefficients by the definition, in about n*R + c*B products.
+    """The retained coefficients by the definition, in about n*P + c*B products.
 
-    Rows k*L of the n-point direct transform, scaled at length n, from the
-    row kernel of :func:`dft_direct` and so its rows bit for bit, whether
-    its twiddle blocks are kept or gathered afresh.  The rows fall on R
-    residues mod M (R = 8 at n = 4096, c = 512); the fold, the c-point FFT
-    and W_n**(l*m) = W_c**m go unused.  Only a gather builds the rows: kept
-    blocks carry them.
-    Checks nothing: the fold has accepted x (its length, and a NaN/Inf
-    sample through its column sum) and direction and mode are members.
+    Rows k*L of the n-point direct transform, scaled at length n: the row
+    kernel of :func:`dft_direct` at step L, so its rows bit for bit, with
+    twiddle blocks kept (the row blocks as one read-only block) or gathered
+    afresh.  The rows fall on P = M/gcd(L, M) residues mod M (P = 8 at
+    n = 4096, c = 512); the fold, the c-point FFT and W_n**(l*m) = W_c**m
+    go unused.  Checks nothing: the fold has accepted x (its length, and a
+    NaN/Inf sample through its column sum) and direction and mode are members.
     """
     if (twiddles := _kept.get(plan)) is None:
-        per_residue, per_row, values = _twiddles(plan.n, ric_index_set(plan))
-        twiddles = per_residue, per_row
-        if values <= _KEPT_CELLS:
+        *twiddles, values = _twiddles(plan.n, plan.l)
+        if values <= _KEPT_CELLS:  # asked again for blocks whose first holds every row
+            per_residue, per_row, _ = _twiddles(plan.n, plan.l, _KEPT_CELLS)
             twiddles = _kept[plan] = [list(ts) for ts in per_residue], list(per_row)
-    return _scaled(_direct_rows(x, None, direction, twiddles), direction, mode, plan.n)
+    return _scaled(_direct_rows(x, plan.l, direction, twiddles), direction, mode, plan.n)

@@ -68,33 +68,36 @@ def test_direct_matches_numpy():
         np.testing.assert_allclose(dft_direct(x, I, RECIP), np.fft.ifft(x), rtol=1e-10, atol=1e-12)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 7, 24, 4099, 4096, 3240, 24000])
+def _divisors(m):
+    return [s for s in range(1, m + 1) if m % s == 0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 24, 4099, 4096, 3240, 24000, 60, 2310, 8198])
 @pytest.mark.parametrize("direction", [F, I])
 def test_direct_rows_are_independent_of_the_row_set(m, direction):
-    # any rows, alone or in blocks of any size, get the bits the whole
-    # transform gives them, so the oracle's rows are dft_direct's rows;
-    # m = 24,000 takes a product deeper than a threaded BLAS keeps in one pass
+    # the rows k = s*q at every step s that divides m get the bits the whole
+    # transform gives them, so the oracle's rows are dft_direct's rows; at
+    # m = 24,000 and step 24 the rows visit their residues mod M = 160 out of
+    # order (g = 8, P = 20, step/g = 3), and step 1 takes a product deeper
+    # than a threaded BLAS keeps in one pass
     rng = np.random.default_rng(m)
     x = random_complex(rng, m)
-    full = engine._direct_rows(x, np.arange(m, dtype=np.int64), direction)
-    per_block = max(2, engine._BLOCK_CELLS // -(-m // math.isqrt(m)))
-    for size in (2, 3, per_block - 1, per_block + 1):
-        if size <= m:
-            rows = np.sort(rng.choice(m, size, replace=False))
-            got = engine._direct_rows(x, rows, direction)
-            assert got.tobytes() == full[rows].tobytes(), size
+    full = engine._direct_rows(x, 1, direction)
+    for step in _divisors(m):
+        got = engine._direct_rows(x, step, direction)
+        assert got.tobytes() == full[::step].tobytes(), step
     # an impulse at j gives each row the entry the definition names,
     # table[(k*j) mod m] with the exponent reduced in Python integers, as the
     # product of two entries: a few ulps off it, and any other entry is at
     # least 2*sin(pi/m) away
     table = twiddle_table(m) if direction is F else twiddle_table(m).conj()
-    rows = np.sort(rng.choice(m, min(m, 64), replace=False))
     for j in rng.integers(0, m, 3).tolist():
         impulse = np.zeros(m, dtype=np.complex128)
         impulse[j] = 1.0
-        want = table[[int(k) * j % m for k in rows]]
-        got = engine._direct_rows(impulse, rows, direction)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        for step in _divisors(m)[:4]:
+            want = table[[k * j % m for k in range(0, m, step)]]
+            got = engine._direct_rows(impulse, step, direction)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("c", [64, 512, 4096])
@@ -102,10 +105,9 @@ def test_direct_rows_error_against_npfft_at_2_18(c):
     # the retained rows at n = 2**18 agree with np.fft to a normwise 1e-13
     n = 1 << 18
     x = random_complex(np.random.default_rng(c), n)
-    rows = np.arange(c, dtype=np.int64) * (n // c)
     for direction, want in ((F, np.fft.fft(x)), (I, np.fft.ifft(x, norm="forward"))):
-        got = engine._direct_rows(x, rows, direction)
-        err = np.max(np.abs(got - want[rows])) / np.max(np.abs(want[rows]))
+        got = engine._direct_rows(x, n // c, direction)
+        err = np.max(np.abs(got - want[::n // c])) / np.max(np.abs(want[::n // c]))
         assert err <= 1e-13, (direction, err)
 
 
@@ -113,14 +115,13 @@ def test_direct_rows_block_memory():
     # blocks of three 128 KB matrices: at most 4 MiB, plus one n-point copy of x
     # when isqrt(n) does not divide n and x is padded; the table is built first,
     # and no direction copies it (16 MiB at n = 2**20)
-    cases = ((4096, 512), (24000, 3000), (1 << 18, 4096), (1 << 20, 1024))
+    cases = ((4096, 512), (24000, 3000), (24000, 1000), (1 << 18, 4096), (1 << 20, 1024))
     for (n, c), direction in itertools.product(cases, (F, I)):
         x = random_complex(np.random.default_rng(7), n)
-        rows = np.arange(c, dtype=np.int64) * (n // c)
         twiddle_table(n)
         tracemalloc.start()
         try:
-            engine._direct_rows(x, rows, direction)
+            engine._direct_rows(x, n // c, direction)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -132,12 +133,11 @@ def test_direct_rows_block_memory_at_a_poor_split():
     # are gathered one depth slice at a time, never held whole (16 MiB)
     n = 2 * 524287
     x = random_complex(np.random.default_rng(8), n)
-    rows = np.array([0, n // 2], dtype=np.int64)
     twiddle_table(n)
     for direction in (F, I):
         tracemalloc.start()
         try:
-            engine._direct_rows(x, rows, direction)
+            engine._direct_rows(x, n // 2, direction)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -154,42 +154,43 @@ def _largest_divisor_to_root(m):
 def test_direct_rows_match_the_definition_for_every_split(m, b):
     # m = B*M with B the largest divisor of m not above isqrt(m): B = 1 for a
     # prime (and m <= 3), B = 2 for 2 * 2003, a square and non-square
-    # composites; random rows against the textbook sum at those rows only
+    # composites; random rows of step 1 and every row of the steps with at
+    # most five rows against the textbook sum at those rows only
     assert engine._split(m) == (b, m // b) and b == _largest_divisor_to_root(m)
     rng = np.random.default_rng(m + 1)
     x = random_complex(rng, m)
-    for size in (1, 2, 5):
-        rows = np.sort(rng.choice(m, min(m, size), replace=False))
+    for step in [1] + [s for s in _divisors(m) if m // s <= 5]:
+        q = np.sort(rng.choice(m // step, min(m // step, 5), replace=False))
         for direction, sign in ((F, -1), (I, +1)):
-            got = engine._direct_rows(x, rows.astype(np.int64), direction)
-            want = naive_dft(x, sign, rows=rows.tolist())
+            got = engine._direct_rows(x, step, direction)[q]
+            want = naive_dft(x, sign, rows=(q * step).tolist())
             err = np.max(np.abs(got - want)) / np.max(np.abs(want))
-            assert err <= 1e-12, (size, direction, err)
+            assert err <= 1e-12, (step, direction, err)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 24, 4006, 4096, 3240, 24000])
 def test_twiddles_count_the_values_their_blocks_hold(m):
-    # c*B + M*R: W_m**(k*j1) for each of the c rows, W_M**(r*j2) for each of
-    # the R residues k mod M of the rows, at least two; the count comes with
-    # the blocks, before any is gathered
-    rng = np.random.default_rng(m)
+    # (m/s)*B + M*max(2, M/gcd(s, M)) at every step s: W_m**(k*j1) for each
+    # row k = s*q, W_M**(r*j2) for each of the P = M/gcd(s, M) residues k mod
+    # M of the rows, at least two; the count comes with the blocks, before
+    # any is gathered; a row block holds whole periods of P rows from p = 0,
+    # or, when a period holds more than a block's values, rows p, p+1, ... of
+    # one; the blocks cover the rows in order
     b = _largest_divisor_to_root(m)
     mm = m // b
-
-    def counted(rows):
-        per_residue, per_row, values = engine._twiddles(m, rows)
+    for step in _divisors(m):
+        per_residue, per_row, values = engine._twiddles(m, step)
+        period = mm // math.gcd(step, mm)
+        assert values == m // step * b + mm * max(2, period), step
+        per_row, q = list(per_row), 0
+        for a, p in per_row:
+            assert a.shape[2] == b and a.size <= max(engine._BLOCK_CELLS, b), step
+            assert not a.flags.writeable, step
+            assert p == q % period and (a.shape[1] == period or a.shape[0] == 1), step
+            q += a.shape[0] * a.shape[1]
+        assert q == m // step, step
         held = sum(t.size for ts in per_residue for t in ts) + sum(a.size for a, _ in per_row)
-        assert held == values
-        return values
-
-    for size in (1, 2, 5, m // 2 + 1, m):
-        rows = np.sort(rng.choice(m, min(m, size), replace=False)).astype(np.int64)
-        assert counted(rows) == len(rows) * b + mm * max(2, len(set((rows % mm).tolist()))), size
-    # a plan's rows k*l, k < c, fall on min(c, M / gcd(l, M)) residues
-    for c in (2, 3, 8, 64, 512, 3000):
-        if m % c == 0 and c <= m // 2:
-            rows, l = np.arange(c, dtype=np.int64) * (m // c), m // c
-            assert counted(rows) == c * b + mm * max(2, min(c, mm // math.gcd(l, mm))), c
+        assert held == values, step
 
 
 def test_fft_length_one_and_golden():
@@ -253,7 +254,7 @@ def test_twiddle_cache_is_bounded():
         table = twiddle_table(m)
         assert not table.flags.writeable
         x = random_complex(np.random.default_rng(m), m)
-        engine._direct_rows(x, np.arange(m, dtype=np.int64), I)
+        engine._direct_rows(x, 1, I)
         assert twiddle_table.cache_info().currsize <= maxsize
     assert twiddle_table.cache_info().currsize == maxsize
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -169,6 +170,44 @@ def test_fold_rejects_non_finite():
         for fn in (fold, ric_dft, ric_idft, verify_against_oracle):
             with pytest.raises(SequenceError):
                 fn(x, plan)
+
+
+NON_FINITE = "non-finite values in the sequence, or a column sum overflows"
+
+
+@pytest.mark.parametrize("n", [24, 64])
+def test_fold_total_check_rejects_what_the_full_check_rejected(n):
+    # the fold checks one total of its c sums and each sum only when that
+    # total is not finite: every NaN/Inf sample and every overflowing column
+    # sum still raise the one message, at every plan and position
+    for c, _ in divisor_pairs(n):
+        plan = make_plan(n, c)
+        for bad, part, pos in itertools.product((math.nan, math.inf, -math.inf), ("real", "imag"),
+                                                range(n)):
+            x = np.ones(n, dtype=np.complex128)
+            getattr(x, part)[pos] = bad
+            with pytest.raises(SequenceError) as err:
+                fold(x, plan)
+            assert str(err.value) == NON_FINITE, (c, bad, part, pos)
+        for big, part, col in itertools.product((1e308, -1e308), ("real", "imag"), range(c)):
+            x = np.zeros(n, dtype=np.complex128)
+            getattr(x, part)[[col, col + c]] = big  # two samples of one column
+            with pytest.raises(SequenceError) as err:
+                fold(x, plan)
+            assert str(err.value) == NON_FINITE, (c, big, part, col)
+
+
+def test_fold_finite_sums_whose_total_overflows_pass():
+    # two columns of 1e308 are finite sums whose total overflows: the full
+    # check runs, finds each sum finite, and the sums come back unchanged
+    for n in (24, 64, 4096):
+        for c, _ in divisor_pairs(n):
+            for part in ("real", "imag"):
+                x = np.zeros(n, dtype=np.complex128)
+                getattr(x, part)[[0, 1]] = 1e308
+                want = np.zeros(c, dtype=np.complex128)
+                getattr(want, part)[[0, 1]] = 1e308
+                assert fold(x, make_plan(n, c)).samples.tobytes() == want.tobytes(), (n, c, part)
 
 
 def _pass_lengths(l, c):

@@ -306,6 +306,7 @@ def test_oracle_keeps_read_only_twiddles_per_live_plan():
     ricdft.ric._oracle(x, plan, F, NONE)
     kept = ricdft.ric._kept[plan]
     per_residue, per_row = kept
+    assert len(per_row) == 1  # the row blocks as one block of whole periods
     blocks = [t for ts in per_residue for t in ts] + [a for a, _ in per_row]
     before = [block.copy() for block in blocks]
     assert sum(block.size for block in blocks) == ricdft.ric._KEPT_CELLS
@@ -327,8 +328,8 @@ def test_oracle_keeps_read_only_twiddles_per_live_plan():
 
 
 def test_second_verify_under_a_kept_plan_gathers_nothing(monkeypatch):
-    # the second call reads the kept blocks: no gather, and no index set
-    # beyond the one the pipeline builds for its spectrum
+    # the second call reads the kept blocks: no gather, and no index set,
+    # as verify builds no spectrum and the oracle reads its rows by step
     plan = make_plan(4096, 512)
     x = random_complex(np.random.default_rng(42), plan.n)
     verify_against_oracle(x, plan)
@@ -344,7 +345,7 @@ def test_second_verify_under_a_kept_plan_gathers_nothing(monkeypatch):
     monkeypatch.setattr(ricdft.ric, "_twiddles", counting(ricdft.ric._twiddles))
     monkeypatch.setattr(ricdft.ric, "ric_index_set", counting(ricdft.ric.ric_index_set))
     assert verify_against_oracle(x, plan, direction=I).passed
-    assert calls == ["ric_index_set"]
+    assert calls == []
 
 
 def test_oracle_is_independent_of_the_fast_path(monkeypatch):
