@@ -1,37 +1,33 @@
 """Transforms of the compressed sequences.
 
 :func:`transform` is numpy's pocketfft at every length, out of place;
-its unscaled core, ``_fft``, runs on the pipeline's c sums in place.  A
-direct DFT/IDFT by the definition for any length shares its contract; its
-row kernel also gives the oracle its c retained rows.
+its unscaled core, ``_fft``, runs on the pipeline's c sums in place.
+:func:`dft_direct`, the definition at any length, shares its contract.
 
 Twiddle factors come from one table per length m, entry r holding
-W_m**(-r) = exp(-2j*pi*r/m); the _TABLES most recently used stay cached
-(a verify reads one, of length n).  Exponents stay exact integers,
-reduced modulo m before the table is indexed, so W_m**a == W_m**(a mod m)
-holds exactly even for huge exponents.  The direct row kernel serves the
-rows k = step*q and splits j = j1 + B*j2 for m = B*M as Bailey's
-four-step FFT (1990) does, but sums over j2 first, once per residue
+W_m**(-r) = exp(-2j*pi*r/m); the _TABLES most recently used stay
+cached.  Exponents stay exact integers, reduced modulo m before the
+table is indexed, so W_m**a == W_m**(a mod m) holds exactly even for
+huge exponents.  The direct row kernel, which also gives the oracle its
+c rows, serves the rows k = step*q: it splits j = j1 + B*j2 for m = B*M
+as Bailey's four-step FFT (1990) does, but sums over j2 once per residue
 k mod M, then over j1 per row, as output-pruned DFTs do (Sorensen &
 Burrus, 1993): c rows on P residues take m*P + c*B products, not m*c.
-``_twiddles`` gathers the forward blocks it reads and counts their
-values, c*B + M*P, so a caller may keep them (the oracle does, per plan,
-when they are few); none is conjugated in place.  Every path scales in
-one epilogue, ``_scaled``, by the :mod:`ricdft.core` factor at a given
-length (n for the pipeline and the oracle, whose sums are c of n rows).
+``_twiddles`` alone decides its layout and keep size and returns them
+with the blocks.  Every path scales once, in ``_scaled``.
 
 Operation counting conventions: the direct engine counts the definition,
 every twiddle product (including multiplications by 1, -1, +-j) as one
-complex multiplication, M*M in total, plus M*(M-1) complex additions, a
-convention and not the row kernel's work.  A radix-2 FFT counts one
-complex multiplication and two complex additions per butterfly, i.e.
-(M/2)*log2(M) multiplications and M*log2(M) additions; trivial twiddles
-are multiplied and counted like any other.  :func:`op_counts` gives, in
-these closed forms, the count of a length: radix-2 for a power of two,
-else direct; :func:`transform` tallies it.
+complex multiplication, M*M in total, plus M*(M-1) complex additions.  A
+radix-2 FFT counts one complex multiplication and two complex additions
+per butterfly, i.e. (M/2)*log2(M) multiplications and M*log2(M)
+additions; trivial twiddles are multiplied and counted like any other.
+:func:`op_counts` gives, in these closed forms, the count of a length:
+radix-2 for a power of two, else direct; :func:`transform` tallies it.
 Output scaling applied by a normalization mode is not counted.
 """
 
+import collections
 import functools
 import math
 
@@ -50,6 +46,10 @@ _TABLES = 2
 # values, 128 KB, so that a block and the temporaries it meets stay in L2.
 _BLOCK_CELLS = 1 << 13
 
+# Values up to which a row set's twiddle blocks come back materialized, for a
+# caller to keep (1 MiB): gathering them is most of an oracle call at n = 4096.
+_KEPT_CELLS = 1 << 16
+
 # Depth of each BLAS product in the row kernel: a threaded OpenBLAS splits a
 # deeper one where the number of rows decides, which changes a row's bits.
 _DEPTH = 128
@@ -61,9 +61,13 @@ def twiddle_table(order: int) -> np.ndarray:
 
     Inverse-direction values are its exact conjugates.
     """
-    table = np.exp(-2j * np.pi * np.arange(order) / order)
-    table.setflags(write=False)
-    return table
+    return _read_only(np.exp(-2j * np.pi * np.arange(order) / order))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, flagged read-only: no cached table or kept twiddle block can change."""
+    a.setflags(write=False)
+    return a
 
 
 def op_counts(m: int) -> tuple[int, int]:
@@ -95,83 +99,82 @@ def dft_direct(
     ``direction`` and ``mode`` take a member or its string value.
     """
     x = as_complex_sequence(x)
-    direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
-    m = len(x)
-    out = _direct_rows(x, 1, direction)
+    direction, mode, m = _member(Direction, direction), _member(NormalizationMode, mode), len(x)
     if counter is not None:
         counter.mul(m * m)
         counter.add(m * (m - 1))
-    return _scaled(out, direction, mode, m)
+    return _scaled(_direct_rows(x, direction, _twiddles(m, 1)), direction, mode, m)
 
 
-def _direct_rows(x: np.ndarray, step: int, direction: Direction, twiddles=None) -> np.ndarray:
-    """Unscaled sums over j of x[j] * W_m**(-+ k*j) at the rows k = step*q, q < m/step.
+# What _twiddles returns: B, Y's rows max(2, P), the c outputs as (c/P, P), values held, reusable, blocks
+_RowBlocks = collections.namedtuple("_RowBlocks", "b residues rows values reusable per_residue per_row")
 
-    x is a validated length-m sequence, ``step`` divides m, ``direction`` is
-    a member and ``twiddles`` the blocks ``_twiddles(m, step)`` returned, kept
-    or fresh, or None to gather them here.  With m = B*M as ``_split`` gives
-    it and j = j1 + B*j2, row k is the sum over j1 of W_m**(k*j1) *
-    Y[k mod M, j1], Y[r, j1] the sum over j2 of W_M**(r*j2) * x[j1 + B*j2],
-    formed at the residues g*i, i < P (g = gcd(step, M), P = M/g).  Row q
-    reads Y's row (q*step/g) mod P, so those rows are permuted once and each
-    row block reads them in order from its first row's place p.  A row gets
-    the same bits at any step: Y comes from BLAS products of depth _DEPTH
-    over two or more residues (one would take BLAS's vector path, which
-    rounds differently), and each row's sum over j1 is a dot product of its own.
+
+def _direct_rows(x: np.ndarray, direction: Direction, blocks: _RowBlocks) -> np.ndarray:
+    """Unscaled sums over j of x[j] * W_m**(-+ k*j) at the rows k = step*q that ``blocks`` serves.
+
+    x is a validated length-m sequence, ``direction`` a member and ``blocks``
+    what ``_twiddles(m, step)`` returned, kept or fresh; it alone gives the
+    geometry.  With m = B*M and j = j1 + B*j2, row k is the sum over j1 of
+    W_m**(k*j1) * Y[k mod M, j1], Y[r, j1] the sum over j2 of W_M**(r*j2) *
+    x[j1 + B*j2].  A row gets the same bits at any step: Y comes from BLAS
+    products of depth _DEPTH over two or more residues (one takes BLAS's
+    vector path, which rounds differently), summed in depth order, and each
+    row's sum over j1 is a dot product of its own.
     """
-    b, mm = _split(len(x))
-    xt, period = x.reshape(-1, b), mm // math.gcd(step, mm)  # xt[j2, j1] = x[j1 + B*j2]
-    inverse, stride = direction is Direction.INVERSE, step * period // mm  # stride = step/g
-    per_residue, per_row = _twiddles(len(x), step)[:2] if twiddles is None else twiddles
-    # a comprehension holds no gathered block past its use, so one is alive at a time
-    y = [functools.reduce(np.add, ((np.conjugate(t) if inverse else t) @ xt[d:d + _DEPTH] for d, t
-                                   in zip(range(0, len(xt), _DEPTH), ts))) for ts in per_residue]
-    y = y[0] if len(y) == 1 else np.concatenate(y)
-    y = y[:period] if (stride - 1) % period == 0 else y[np.arange(period) * stride % period]
+    xt, inverse = x.reshape(-1, blocks.b), direction is Direction.INVERSE  # xt[j2, j1] = x[j1 + B*j2]
+    # Y, and the rows q = P*i + p at out[i, p], each written once into its own buffer
+    y, out = np.empty((blocks.residues, blocks.b), complex), np.empty(blocks.rows, complex)
+    for r, ts in blocks.per_residue:  # one gathered depth slice alive at a time
+        products = ((t.conj() if inverse else t) @ xt[d] for d, t in ts)
+        y[r] = functools.reduce(lambda total, product: np.add(total, product, out=total), products)
     # vecdot(a, v) sums conj(a)*v: the inverse reads the forward row blocks as
     # they are, and the forward takes conj(vecdot(a, conj(Y)))
     y = y if inverse else np.conjugate(y, out=y)
-    out = [np.vecdot(a, y[p:p + a.shape[1]]) for a, p in per_row]
-    out = out[0].reshape(-1) if len(out) == 1 else np.concatenate(out, axis=None)
-    return out if inverse else np.conjugate(out, out=out)
+    for a, (i, p) in blocks.per_row:
+        np.vecdot(a, y[p], out=out[i, p])
+    return out.reshape(-1) if inverse else np.conjugate(out, out=out).reshape(-1)
 
 
-def _split(m: int) -> tuple[int, int]:
-    """(B, M) with m = B*M, B the largest divisor of m not above isqrt(m)."""
-    b = next(d for d in range(math.isqrt(m), 0, -1) if m % d == 0)
-    return b, m // b
+def _twiddles(m: int, step: int) -> _RowBlocks:
+    """The row kernel's forward twiddle blocks at length m for the rows k = step*q, q < c.
 
-
-def _twiddles(m: int, step: int, cells: int = _BLOCK_CELLS):
-    """Forward twiddle blocks of the row kernel at length m: (per residue, per row, values).
-
-    For the rows k = step*q on the residues g*i, i < P, of ``_direct_rows``
-    (two or more, repeated if need be): per chunk of residues r its depth
-    slices of W_m**(r*B*j2), lazily, and per block of rows W_m**(k*j1) with
-    p, its first row's place in a period; a block is whole periods, shaped
-    (periods, P, B), or if one holds over ``cells`` values, (1, h, B) from p.
-    Exponents are reduced modulo m in integers; blocks are read-only, so none
-    kept can change; ``values`` counts them, c*B + M*max(2, P) for c = m/step.
+    m = B*M with B the largest divisor of m not above isqrt(m).  The rows'
+    residues k mod M repeat with the period P = M/gcd(step, M); Y's row p is
+    the residue step*p mod M that place p of each period reads (at least two
+    rows).  ``per_residue`` gives, per chunk r of Y's rows, its depth slices
+    (d, W_m**(r*B*j2) for j2 in d); ``per_row`` gives blocks W_m**(k*j1) with
+    the (periods, places) of their rows, shaped (periods, P, B) when whole
+    periods fit, else (1, h, B).  It alone decides the layout and keep size:
+    a row set of at most _KEPT_CELLS values comes back materialized and
+    ``reusable``, its rows one block, a larger one lazily, in blocks of about
+    _BLOCK_CELLS values.  Every block is read-only.
     """
-    table, (b, mm) = twiddle_table(m), _split(m)
+    b = next(d for d in range(math.isqrt(m), 0, -1) if m % d == 0)
+    table, mm, c = twiddle_table(m), m // b, m // step
     period = mm // math.gcd(step, mm)
-    residues = np.resize(np.arange(0, mm, mm // period), max(2, period))  # one would go to BLAS's gemv
+    residues = max(2, period)  # one would go to BLAS's gemv; at P = 1, M divides step
+    values = c * b + mm * residues
+    cells = _KEPT_CELLS if (reusable := values <= _KEPT_CELLS) else _BLOCK_CELLS
 
     def gather(exponents):
-        block = table[exponents % m]
-        block.setflags(write=False)
-        return block
+        return _read_only(table[exponents % m])
 
-    def depth_slices(r):  # exponents r*B*j2 a slice at a time: no M-point array is held
-        return (gather(r * np.arange(b * d, b * min(d + _DEPTH, mm), b)) for d in range(0, mm, _DEPTH))
+    def depth_slices(p):  # exponents (step*p mod M)*B*j2 a slice at a time: no M-point array is held
+        return ((slice(d, d + _DEPTH), gather(p * step % mm * b * np.arange(d, min(d + _DEPTH, mm))))
+                for d in range(0, mm, _DEPTH))
 
-    chunks = max(1, len(residues) // max(2, _BLOCK_CELLS // max(_DEPTH, b)))  # two or more residues
-    per_residue = map(depth_slices, np.array_split(residues[:, None], chunks))
-    k = np.arange(0, m, step, dtype=np.int64).reshape(-1, period, 1)  # k = step*q, a period a row
-    t, h = max(1, cells // (period * b)), min(period, max(1, cells // b))  # periods, rows of one
-    per_row = ((gather(k[i:i + t, p:p + h] * np.arange(b)), p)
-               for i in range(0, len(k), t) for p in range(0, period, h))
-    return per_residue, per_row, m // step * b + mm * len(residues)
+    chunks = max(1, residues // max(2, _BLOCK_CELLS // max(_DEPTH, b)))  # two or more rows of Y
+    per_residue = ((slice(p[0], p[-1] + 1), depth_slices(p[:, None]))
+                   for p in np.array_split(np.arange(residues), chunks))
+    # row k = ki[i] + kp[p] at period i and place p: no c-point array is held
+    ki, kp = np.arange(0, m, step * period)[:, None, None], np.arange(0, step * period, step)[:, None]
+    t, h = max(1, cells // (period * b)), min(period, max(1, cells // b))  # periods, places of a block
+    per_row = ((gather((ki[i:i + t] + kp[p:p + h]) * np.arange(b)), (slice(i, i + t), slice(p, p + h)))
+               for i in range(0, c // period, t) for p in range(0, period, h))
+    if reusable:
+        per_residue, per_row = tuple((r, tuple(ts)) for r, ts in per_residue), tuple(per_row)
+    return _RowBlocks(b, residues, (c // period, period), values, reusable, per_residue, per_row)
 
 
 def transform(

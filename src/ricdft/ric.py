@@ -145,9 +145,7 @@ def verify_against_oracle(
     return _report(_values(x, plan, direction, mode), _oracle(x, plan, direction, mode), tolerance)
 
 
-# A live plan keeps its oracle's forward twiddle blocks, read-only, when they total at most
-# this many values (1 MiB), as gathering them is most of a call at n = 4096; an entry dies with it.
-_KEPT_CELLS = 1 << 16
+# Each live plan's kept oracle twiddle blocks; an entry dies with its plan.
 _kept = weakref.WeakKeyDictionary()
 
 
@@ -155,16 +153,14 @@ def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> 
     """The retained coefficients by the definition, in about n*P + c*B products.
 
     Rows k*L of the n-point direct transform, scaled at length n: the row
-    kernel of :func:`dft_direct` at step L, so its rows bit for bit, with
-    twiddle blocks kept (the row blocks as one read-only block) or gathered
-    afresh.  The rows fall on P = M/gcd(L, M) residues mod M (P = 8 at
-    n = 4096, c = 512); the fold, the c-point FFT and W_n**(l*m) = W_c**m
-    go unused.  Checks nothing: the fold has accepted x (its length, and a
-    NaN/Inf sample through its column sum) and direction and mode are members.
+    kernel of :func:`dft_direct` at step L, so its rows bit for bit, on the
+    twiddle blocks a plan keeps when the engine returns them reusable.  The
+    fold, the c-point FFT and W_n**(l*m) = W_c**m go unused.  Checks nothing:
+    the fold has accepted x (its length, and a NaN/Inf sample through its
+    column sum) and direction and mode are members.
     """
-    if (twiddles := _kept.get(plan)) is None:
-        *twiddles, values = _twiddles(plan.n, plan.l)
-        if values <= _KEPT_CELLS:  # asked again for blocks whose first holds every row
-            per_residue, per_row, _ = _twiddles(plan.n, plan.l, _KEPT_CELLS)
-            twiddles = _kept[plan] = [list(ts) for ts in per_residue], list(per_row)
-    return _scaled(_direct_rows(x, plan.l, direction, twiddles), direction, mode, plan.n)
+    if (blocks := _kept.get(plan)) is None:
+        blocks = _twiddles(plan.n, plan.l)
+        if blocks.reusable:
+            _kept[plan] = blocks
+    return _scaled(_direct_rows(x, direction, blocks), direction, mode, plan.n)

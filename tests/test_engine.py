@@ -72,6 +72,11 @@ def _divisors(m):
     return [s for s in range(1, m + 1) if m % s == 0]
 
 
+def _rows(x, step, direction):
+    # the rows k = step*q of x's unscaled transform, from fresh twiddle blocks
+    return engine._direct_rows(x, direction, engine._twiddles(len(x), step))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 7, 24, 4099, 4096, 3240, 24000, 60, 2310, 8198])
 @pytest.mark.parametrize("direction", [F, I])
 def test_direct_rows_are_independent_of_the_row_set(m, direction):
@@ -82,9 +87,9 @@ def test_direct_rows_are_independent_of_the_row_set(m, direction):
     # than a threaded BLAS keeps in one pass
     rng = np.random.default_rng(m)
     x = random_complex(rng, m)
-    full = engine._direct_rows(x, 1, direction)
+    full = _rows(x, 1, direction)
     for step in _divisors(m):
-        got = engine._direct_rows(x, step, direction)
+        got = _rows(x, step, direction)
         assert got.tobytes() == full[::step].tobytes(), step
     # an impulse at j gives each row the entry the definition names,
     # table[(k*j) mod m] with the exponent reduced in Python integers, as the
@@ -96,7 +101,7 @@ def test_direct_rows_are_independent_of_the_row_set(m, direction):
         impulse[j] = 1.0
         for step in _divisors(m)[:4]:
             want = table[[k * j % m for k in range(0, m, step)]]
-            got = engine._direct_rows(impulse, step, direction)
+            got = _rows(impulse, step, direction)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
@@ -106,7 +111,7 @@ def test_direct_rows_error_against_npfft_at_2_18(c):
     n = 1 << 18
     x = random_complex(np.random.default_rng(c), n)
     for direction, want in ((F, np.fft.fft(x)), (I, np.fft.ifft(x, norm="forward"))):
-        got = engine._direct_rows(x, n // c, direction)
+        got = _rows(x, n // c, direction)
         err = np.max(np.abs(got - want[::n // c])) / np.max(np.abs(want[::n // c]))
         assert err <= 1e-13, (direction, err)
 
@@ -121,7 +126,7 @@ def test_direct_rows_block_memory():
         twiddle_table(n)
         tracemalloc.start()
         try:
-            engine._direct_rows(x, n // c, direction)
+            _rows(x, n // c, direction)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -137,11 +142,29 @@ def test_direct_rows_block_memory_at_a_poor_split():
     for direction in (F, I):
         tracemalloc.start()
         try:
-            engine._direct_rows(x, n // 2, direction)
+            _rows(x, n // 2, direction)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, (direction, peak)
+
+
+def test_direct_rows_hold_each_output_once():
+    # n = 2**18, c = 2**17: the c outputs (2 MiB) and Y's P = 256 residue
+    # sums (2 MiB) are each written once into their own buffer, and each row
+    # block's exponents come from its own rows, not from a c-point array
+    # (about 4.4 MiB in all; a second copy of either would pass 6 MiB)
+    n = 1 << 18
+    x = random_complex(np.random.default_rng(9), n)
+    twiddle_table(n)
+    for direction in (F, I):
+        tracemalloc.start()
+        try:
+            _rows(x, 2, direction)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20, (direction, peak)
 
 
 def _largest_divisor_to_root(m):
@@ -156,13 +179,13 @@ def test_direct_rows_match_the_definition_for_every_split(m, b):
     # prime (and m <= 3), B = 2 for 2 * 2003, a square and non-square
     # composites; random rows of step 1 and every row of the steps with at
     # most five rows against the textbook sum at those rows only
-    assert engine._split(m) == (b, m // b) and b == _largest_divisor_to_root(m)
+    assert engine._twiddles(m, 1).b == b == _largest_divisor_to_root(m)
     rng = np.random.default_rng(m + 1)
     x = random_complex(rng, m)
     for step in [1] + [s for s in _divisors(m) if m // s <= 5]:
         q = np.sort(rng.choice(m // step, min(m // step, 5), replace=False))
         for direction, sign in ((F, -1), (I, +1)):
-            got = engine._direct_rows(x, step, direction)[q]
+            got = _rows(x, step, direction)[q]
             want = naive_dft(x, sign, rows=(q * step).tolist())
             err = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert err <= 1e-12, (step, direction, err)
@@ -172,25 +195,47 @@ def test_direct_rows_match_the_definition_for_every_split(m, b):
 def test_twiddles_count_the_values_their_blocks_hold(m):
     # (m/s)*B + M*max(2, M/gcd(s, M)) at every step s: W_m**(k*j1) for each
     # row k = s*q, W_M**(r*j2) for each of the P = M/gcd(s, M) residues k mod
-    # M of the rows, at least two; the count comes with the blocks, before
-    # any is gathered; a row block holds whole periods of P rows from p = 0,
-    # or, when a period holds more than a block's values, rows p, p+1, ... of
-    # one; the blocks cover the rows in order
+    # M of the rows, at least two; the count and the geometry come with the
+    # blocks, before any is gathered; a row set of at most _KEPT_CELLS values
+    # comes back materialized with its rows as one block, a larger one
+    # lazily; a row block holds whole periods of P rows, or, when a period
+    # holds more than a block's values, places p, p+1, ... of one; the
+    # chunks of Y's rows, of two or more, their depth slices and the row
+    # blocks cover their rows in order
     b = _largest_divisor_to_root(m)
     mm = m // b
     for step in _divisors(m):
-        per_residue, per_row, values = engine._twiddles(m, step)
+        blocks = engine._twiddles(m, step)
         period = mm // math.gcd(step, mm)
-        assert values == m // step * b + mm * max(2, period), step
-        per_row, q = list(per_row), 0
-        for a, p in per_row:
-            assert a.shape[2] == b and a.size <= max(engine._BLOCK_CELLS, b), step
-            assert not a.flags.writeable, step
-            assert p == q % period and (a.shape[1] == period or a.shape[0] == 1), step
+        assert blocks.values == m // step * b + mm * max(2, period), step
+        assert blocks.b == b and blocks.residues == max(2, period), step
+        assert blocks.rows == (m // step // period, period), step
+        assert blocks.reusable == (blocks.values <= engine._KEPT_CELLS), step
+        if blocks.reusable:
+            assert isinstance(blocks.per_residue, tuple) and isinstance(blocks.per_row, tuple), step
+            assert len(blocks.per_row) == 1, step
+        held, r0 = 0, 0
+        for r, ts in blocks.per_residue:
+            assert r.start == r0 and r.stop - r.start >= 2, step
+            j2 = 0
+            for d, t in ts:  # depth slices of x.reshape(M, B), in order
+                assert d.start == j2 and t.shape == (r.stop - r.start, len(range(mm)[d])), step
+                assert not t.flags.writeable, step
+                held, j2 = held + t.size, j2 + t.shape[1]
+            assert j2 == mm, step
+            r0 = r.stop
+        assert r0 == blocks.residues, step
+        q = 0
+        for a, (i, p) in blocks.per_row:
+            assert a.shape[2] == b and not a.flags.writeable, step
+            assert blocks.reusable or a.size <= max(engine._BLOCK_CELLS, b), step
+            assert a.shape[1] == period or a.shape[0] == 1, step
+            assert i.start * period + p.start == q, step
+            assert a.shape[:2] == np.empty(blocks.rows)[i, p].shape, step
             q += a.shape[0] * a.shape[1]
+            held += a.size
         assert q == m // step, step
-        held = sum(t.size for ts in per_residue for t in ts) + sum(a.size for a, _ in per_row)
-        assert held == values, step
+        assert held == blocks.values, step
 
 
 def test_fft_length_one_and_golden():
@@ -254,7 +299,7 @@ def test_twiddle_cache_is_bounded():
         table = twiddle_table(m)
         assert not table.flags.writeable
         x = random_complex(np.random.default_rng(m), m)
-        engine._direct_rows(x, 1, I)
+        _rows(x, 1, I)
         assert twiddle_table.cache_info().currsize <= maxsize
     assert twiddle_table.cache_info().currsize == maxsize
 
