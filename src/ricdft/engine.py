@@ -9,12 +9,11 @@ W_m**(-r) = exp(-2j*pi*r/m); the _TABLES most recently used stay
 cached.  Exponents stay exact integers, reduced modulo m before the
 table is indexed, so W_m**a == W_m**(a mod m) holds exactly even for
 huge exponents.  The direct row kernel, which also gives the oracle its
-c rows, serves the rows k = step*q: it splits j = j1 + B*j2 for m = B*M
-as Bailey's four-step FFT (1990) does, but sums over j2 once per residue
-k mod M, then over j1 per row, as output-pruned DFTs do (Sorensen &
-Burrus, 1993): c rows on P residues take m*P + c*B products, not m*c.
-``_twiddles`` alone decides its layout and keep size and returns them
-with the blocks.  Every path scales once, in ``_scaled``.
+rows k = step*q, splits j = j1 + B*j2 and k = r + M*t for m = B*M as
+Bailey's four-step FFT (1990) does, a B-point DFT matrix in place of its
+inner FFTs, and forms only the P residues k mod M of its rows, as
+output-pruned DFTs do (Sorensen & Burrus, 1993): m*P + P*B*B products,
+not m*c.  Every path scales once, in ``_scaled``.
 
 Operation counting conventions: the direct engine counts the definition,
 every twiddle product (including multiplications by 1, -1, +-j) as one
@@ -36,10 +35,8 @@ import numpy as np
 from .core import (Direction, NormalizationMode, OpCounter, _member, _scale, as_complex_sequence,
                    is_power_of_two)
 
-# Twiddle tables kept at once.  A verify reads one, of length n; nothing in
-# the package reads a second, which serves a caller alternating two lengths,
-# such as dft_direct at one and the oracle at another.  Building a table is
-# O(M) against the O(M * rows) of the row kernel reading it.
+# Twiddle tables and DFT matrices kept at once: a verify reads one of each, a
+# second serves a caller alternating two lengths.  Each costs O(m) to build.
 _TABLES = 2
 
 # Values a twiddle block of the direct row kernel aims at: 2**13 complex
@@ -93,9 +90,9 @@ def dft_direct(
     output[k] = scale * sum over n of x[n] * W_M**(-+ k*n), with the sign
     chosen by ``direction`` and the scale by ``mode``.  Valid for any
     length; this is the reference the fast paths are checked against.
-    The row kernel takes M*(M/B + B) products for M = B*(M/B); ``counter``
-    still tallies the definition's M*(M-1) additions and M*M multiplications,
-    a convention and not the kernel's work.
+    Its row kernel takes M*(M/B + B + 1) products for M = B*(M/B); ``counter``
+    still tallies the definition's M*(M-1) additions and M*M
+    multiplications, a convention and not the kernel's work.
     ``direction`` and ``mode`` take a member or its string value.
     """
     x = as_complex_sequence(x)
@@ -106,75 +103,78 @@ def dft_direct(
     return _scaled(_direct_rows(x, direction, _twiddles(m, 1)), direction, mode, m)
 
 
-# What _twiddles returns: B, Y's rows max(2, P), the c outputs as (c/P, P), values held, reusable, blocks
-_RowBlocks = collections.namedtuple("_RowBlocks", "b residues rows values reusable per_residue per_row")
+_RowBlocks = collections.namedtuple("_RowBlocks", "b rows values reusable chunks")
 
 
 def _direct_rows(x: np.ndarray, direction: Direction, blocks: _RowBlocks) -> np.ndarray:
     """Unscaled sums over j of x[j] * W_m**(-+ k*j) at the rows k = step*q that ``blocks`` serves.
 
-    x is a validated length-m sequence, ``direction`` a member and ``blocks``
-    what ``_twiddles(m, step)`` returned, kept or fresh; it alone gives the
-    geometry.  With m = B*M and j = j1 + B*j2, row k is the sum over j1 of
-    W_m**(k*j1) * Y[k mod M, j1], Y[r, j1] the sum over j2 of W_M**(r*j2) *
-    x[j1 + B*j2].  A row gets the same bits at any step: Y comes from BLAS
-    products of depth _DEPTH over two or more residues (one takes BLAS's
-    vector path, which rounds differently), summed in depth order, and each
-    row's sum over j1 is a dot product of its own.
+    ``blocks`` is what ``_twiddles(m, step)`` returned, kept or fresh, for a
+    validated length-m x.  With m = B*M, j = j1 + B*j2 and k = r + M*t, row k
+    is G[k mod M, t] of Y = T*X (Y[r, j1] = sum over j2 of W_M**(r*j2) *
+    x[j1 + B*j2]), Z = w*Y (w[r, j1] = W_m**(r*j1)) and G = Z*F.  A row gets
+    the same bits at any step: Y and G are BLAS products of depth _DEPTH over
+    two or more residues (one takes BLAS's vector path, which rounds
+    differently) summed in depth order, G's over all B columns of F.  The
+    inverse reads the forward twiddles: conj(T)*X, conj(G of w*conj(Y)).
     """
     xt, inverse = x.reshape(-1, blocks.b), direction is Direction.INVERSE  # xt[j2, j1] = x[j1 + B*j2]
-    # Y, and the rows q = P*i + p at out[i, p], each written once into its own buffer
-    y, out = np.empty((blocks.residues, blocks.b), complex), np.empty(blocks.rows, complex)
-    for r, ts in blocks.per_residue:  # one gathered depth slice alive at a time
-        products = ((t.conj() if inverse else t) @ xt[d] for d, t in ts)
-        y[r] = functools.reduce(lambda total, product: np.add(total, product, out=total), products)
-    # vecdot(a, v) sums conj(a)*v: the inverse reads the forward row blocks as
-    # they are, and the forward takes conj(vecdot(a, conj(Y)))
-    y = y if inverse else np.conjugate(y, out=y)
-    for a, (i, p) in blocks.per_row:
-        np.vecdot(a, y[p], out=out[i, p])
-    return out.reshape(-1) if inverse else np.conjugate(out, out=out).reshape(-1)
+    f, out = _dft_matrix(x.size, blocks.b), np.empty(blocks.rows, complex)  # row P*i + p at out[i, p]
+    for ts, w, places in blocks.chunks:  # one chunk of Y's rows, one gathered depth slice alive at a time
+        y = g = None
+        for d, t in ts:  # each sum goes into its first product
+            product = (t.conj() if inverse else t) @ xt[d]
+            y = product if y is None else np.add(y, product, out=y)
+        y = np.multiply(np.conjugate(y, out=y) if inverse else y, w, out=y)
+        for d in range(0, blocks.b, _DEPTH):
+            product = y[:, d:d + _DEPTH] @ f[d:d + _DEPTH]
+            g = product if g is None else np.add(g, product, out=g)
+        for p, i, t in places:
+            out[:, p] = g[i, t].T
+    return np.conjugate(out, out=out).reshape(-1) if inverse else out.reshape(-1)
+
+
+@functools.lru_cache(maxsize=_TABLES)
+def _dft_matrix(m: int, b: int) -> np.ndarray:
+    """F[j1, t] = W_B**(j1*t), read-only: m's table at M*((j1*t) mod B), formed, not read."""
+    exponents = np.multiply.outer(np.arange(b), np.arange(b)) % b
+    return _read_only(np.exp(-2j * np.pi * np.arange(0, m, m // b) / m)[exponents])
 
 
 def _twiddles(m: int, step: int) -> _RowBlocks:
     """The row kernel's forward twiddle blocks at length m for the rows k = step*q, q < c.
 
-    m = B*M with B the largest divisor of m not above isqrt(m).  The rows'
-    residues k mod M repeat with the period P = M/gcd(step, M); Y's row p is
-    the residue step*p mod M that place p of each period reads (at least two
-    rows).  ``per_residue`` gives, per chunk r of Y's rows, its depth slices
-    (d, W_m**(r*B*j2) for j2 in d); ``per_row`` gives blocks W_m**(k*j1) with
-    the (periods, places) of their rows, shaped (periods, P, B) when whole
-    periods fit, else (1, h, B).  It alone decides the layout and keep size:
-    a row set of at most _KEPT_CELLS values comes back materialized and
-    ``reusable``, its rows one block, a larger one lazily, in blocks of about
-    _BLOCK_CELLS values.  Every block is read-only.
+    m = B*M, B the largest divisor of m not above isqrt(m).  The residues k
+    mod M repeat with the period P = M/gcd(step, M); Y's row p, of at least
+    two, is the residue r = step*p mod M of the rows q = P*i + p.  Each chunk
+    of Y's rows gives its depth slices (d, W_m**(r*B*j2) for j2 in d), its w
+    = W_m**(r*j1) and runs of its places p that read G's columns t0, t0 +
+    step/gcd(step, M), ... (t = floor(step*q/M)): M*max(2, P) + max(2, P)*B
+    values.  It alone decides layout and keep size: at most _KEPT_CELLS come
+    back materialized and ``reusable``, more lazily in chunks of about
+    _BLOCK_CELLS values, all read-only; ``rows`` is the outputs' shape (c/P, P).
     """
     b = next(d for d in range(math.isqrt(m), 0, -1) if m % d == 0)
     table, mm, c = twiddle_table(m), m // b, m // step
     period = mm // math.gcd(step, mm)
     residues = max(2, period)  # one would go to BLAS's gemv; at P = 1, M divides step
-    values = c * b + mm * residues
-    cells = _KEPT_CELLS if (reusable := values <= _KEPT_CELLS) else _BLOCK_CELLS
 
-    def gather(exponents):
-        return _read_only(table[exponents % m])
+    def places(p0, end):  # runs of places from p0 whose rows start at one column t0 of G
+        for t0 in np.unique(step * np.arange(p0, end) // mm).tolist():
+            p, q = max(p0, -(-mm * t0 // step)), min(end, -(-mm * (t0 + 1) // step))
+            yield slice(p, q), slice(p - p0, q - p0), slice(t0, None, step * period // mm)
 
-    def depth_slices(p):  # exponents (step*p mod M)*B*j2 a slice at a time: no M-point array is held
-        return ((slice(d, d + _DEPTH), gather(p * step % mm * b * np.arange(d, min(d + _DEPTH, mm))))
-                for d in range(0, mm, _DEPTH))
+    def chunk(p):  # Y's rows p, T a depth slice at a time: no M-point or c-point array is held
+        r = p[:, None] * step % mm  # r*j1 < m, so w's exponents need no reduction
+        ts = ((slice(d, d + _DEPTH), _read_only(table[r * b * np.arange(d, min(d + _DEPTH, mm)) % m]))
+              for d in range(0, mm, _DEPTH))
+        return ts, _read_only(table[r * np.arange(b)]), places(int(p[0]), min(int(p[-1]) + 1, period))
 
-    chunks = max(1, residues // max(2, _BLOCK_CELLS // max(_DEPTH, b)))  # two or more rows of Y
-    per_residue = ((slice(p[0], p[-1] + 1), depth_slices(p[:, None]))
-                   for p in np.array_split(np.arange(residues), chunks))
-    # row k = ki[i] + kp[p] at period i and place p: no c-point array is held
-    ki, kp = np.arange(0, m, step * period)[:, None, None], np.arange(0, step * period, step)[:, None]
-    t, h = max(1, cells // (period * b)), min(period, max(1, cells // b))  # periods, places of a block
-    per_row = ((gather((ki[i:i + t] + kp[p:p + h]) * np.arange(b)), (slice(i, i + t), slice(p, p + h)))
-               for i in range(0, c // period, t) for p in range(0, period, h))
-    if reusable:
-        per_residue, per_row = tuple((r, tuple(ts)) for r, ts in per_residue), tuple(per_row)
-    return _RowBlocks(b, residues, (c // period, period), values, reusable, per_residue, per_row)
+    rows = max(2, _BLOCK_CELLS // max(_DEPTH, b))  # of Y per chunk, two or more
+    chunks = (chunk(p) for p in np.array_split(np.arange(residues), max(1, residues // rows)))
+    if reusable := (values := residues * (mm + b)) <= _KEPT_CELLS:
+        chunks = tuple((tuple(ts), w, tuple(runs)) for ts, w, runs in chunks)
+    return _RowBlocks(b, (c // period, period), values, reusable, chunks)
 
 
 def transform(

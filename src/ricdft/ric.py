@@ -12,8 +12,8 @@ DFT at the retained indices, so nothing is scaled at length c
 The cost of a call follows from its plan alone: :func:`ric_op_counts`.
 
 :func:`verify_against_oracle` re-derives the same coefficients from the
-definition at the c retained rows only, in about n*P + c*B products for
-n = B*M and P residues of the rows mod M (:mod:`ricdft.engine`), and
+definition at the c retained rows only, in about n*P + P*B*B products for
+n = B*M and the P residues of the rows mod M (:mod:`ricdft.engine`), and
 reports the disagreement: the package's ground-truth equivalence check.
 """
 
@@ -150,7 +150,7 @@ _kept = weakref.WeakKeyDictionary()
 
 
 def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
-    """The retained coefficients by the definition, in about n*P + c*B products.
+    """The retained coefficients by the definition, in about n*P + P*B*B products.
 
     Rows k*L of the n-point direct transform, scaled at length n: the row
     kernel of :func:`dft_direct` at step L, so its rows bit for bit, on the

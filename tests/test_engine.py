@@ -77,14 +77,22 @@ def _rows(x, step, direction):
     return engine._direct_rows(x, direction, engine._twiddles(len(x), step))
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 7, 24, 4099, 4096, 3240, 24000, 60, 2310, 8198])
+def _build(n):
+    # the twiddle table and DFT matrix of length n, as a verify's first call builds them
+    twiddle_table(n)
+    engine._dft_matrix(n, engine._twiddles(n, 1).b)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 24, 4099, 4096, 3240, 24000, 60, 2310, 8198, 1 << 16])
 @pytest.mark.parametrize("direction", [F, I])
 def test_direct_rows_are_independent_of_the_row_set(m, direction):
     # the rows k = s*q at every step s that divides m get the bits the whole
     # transform gives them, so the oracle's rows are dft_direct's rows; at
     # m = 24,000 and step 24 the rows visit their residues mod M = 160 out of
-    # order (g = 8, P = 20, step/g = 3), and step 1 takes a product deeper
-    # than a threaded BLAS keeps in one pass
+    # order (g = 8, P = 20, step/g = 3) and read G in three runs of places,
+    # and step 1 takes a product deeper than a threaded BLAS keeps in one
+    # pass; m = 2**16 (B = 256) sums G over two depth slices of F, and step
+    # 1 forms Y in eight chunks of 32 residues
     rng = np.random.default_rng(m)
     x = random_complex(rng, m)
     full = _rows(x, 1, direction)
@@ -118,12 +126,12 @@ def test_direct_rows_error_against_npfft_at_2_18(c):
 
 def test_direct_rows_block_memory():
     # blocks of three 128 KB matrices: at most 4 MiB, plus one n-point copy of x
-    # when isqrt(n) does not divide n and x is padded; the table is built first,
-    # and no direction copies it (16 MiB at n = 2**20)
+    # when isqrt(n) does not divide n and x is padded; the table and F are
+    # built first, and no direction copies either (16 MiB each at n = 2**20)
     cases = ((4096, 512), (24000, 3000), (24000, 1000), (1 << 18, 4096), (1 << 20, 1024))
     for (n, c), direction in itertools.product(cases, (F, I)):
         x = random_complex(np.random.default_rng(7), n)
-        twiddle_table(n)
+        _build(n)
         tracemalloc.start()
         try:
             _rows(x, n // c, direction)
@@ -138,7 +146,7 @@ def test_direct_rows_block_memory_at_a_poor_split():
     # are gathered one depth slice at a time, never held whole (16 MiB)
     n = 2 * 524287
     x = random_complex(np.random.default_rng(8), n)
-    twiddle_table(n)
+    _build(n)
     for direction in (F, I):
         tracemalloc.start()
         try:
@@ -150,13 +158,13 @@ def test_direct_rows_block_memory_at_a_poor_split():
 
 
 def test_direct_rows_hold_each_output_once():
-    # n = 2**18, c = 2**17: the c outputs (2 MiB) and Y's P = 256 residue
-    # sums (2 MiB) are each written once into their own buffer, and each row
-    # block's exponents come from its own rows, not from a c-point array
-    # (about 4.4 MiB in all; a second copy of either would pass 6 MiB)
+    # n = 2**18, c = 2**17: the c outputs (2 MiB) are written once, into their
+    # own buffer, each chunk's rows through strided views of its G, and Y, Z
+    # and G exist a chunk of 16 residues at a time (4 MiB for all 256), with
+    # no c-point index array (a second copy of the outputs would pass 6 MiB)
     n = 1 << 18
     x = random_complex(np.random.default_rng(9), n)
-    twiddle_table(n)
+    _build(n)
     for direction in (F, I):
         tracemalloc.start()
         try:
@@ -193,49 +201,81 @@ def test_direct_rows_match_the_definition_for_every_split(m, b):
 
 @pytest.mark.parametrize("m", [1, 2, 7, 24, 4006, 4096, 3240, 24000])
 def test_twiddles_count_the_values_their_blocks_hold(m):
-    # (m/s)*B + M*max(2, M/gcd(s, M)) at every step s: W_m**(k*j1) for each
-    # row k = s*q, W_M**(r*j2) for each of the P = M/gcd(s, M) residues k mod
-    # M of the rows, at least two; the count and the geometry come with the
-    # blocks, before any is gathered; a row set of at most _KEPT_CELLS values
-    # comes back materialized with its rows as one block, a larger one
-    # lazily; a row block holds whole periods of P rows, or, when a period
-    # holds more than a block's values, places p, p+1, ... of one; the
-    # chunks of Y's rows, of two or more, their depth slices and the row
-    # blocks cover their rows in order
+    # M*max(2, P) + max(2, P)*B at every step s: W_M**(r*j2) and W_m**(r*j1)
+    # for each of the P = M/gcd(s, M) residues r = k mod M of the rows k = s*q,
+    # at least two, and no per-row twiddle; the count and the geometry come
+    # with the blocks, before any is gathered; a row set of at most
+    # _KEPT_CELLS values comes back materialized, a larger one lazily; the
+    # chunks of Y's rows, of two or more and lazily of about _BLOCK_CELLS
+    # values, and their depth slices cover them in order, and each run of
+    # places p < P reads G's row p of its chunk from column floor(s*p/M),
+    # every s/gcd(s, M)-th column
     b = _largest_divisor_to_root(m)
     mm = m // b
     for step in _divisors(m):
         blocks = engine._twiddles(m, step)
-        period = mm // math.gcd(step, mm)
-        assert blocks.values == m // step * b + mm * max(2, period), step
-        assert blocks.b == b and blocks.residues == max(2, period), step
-        assert blocks.rows == (m // step // period, period), step
+        g = math.gcd(step, mm)
+        period = mm // g
+        assert blocks.values == mm * max(2, period) + max(2, period) * b, step
+        assert blocks.b == b and blocks.rows == (m // step // period, period), step
         assert blocks.reusable == (blocks.values <= engine._KEPT_CELLS), step
         if blocks.reusable:
-            assert isinstance(blocks.per_residue, tuple) and isinstance(blocks.per_row, tuple), step
-            assert len(blocks.per_row) == 1, step
-        held, r0 = 0, 0
-        for r, ts in blocks.per_residue:
-            assert r.start == r0 and r.stop - r.start >= 2, step
+            assert isinstance(blocks.chunks, tuple), step
+        held, r0, p0 = 0, 0, 0
+        for ts, w, runs in blocks.chunks:
+            if blocks.reusable:
+                assert isinstance(ts, tuple) and isinstance(runs, tuple), step
+            rows = w.shape[0]
+            assert rows >= 2 and w.shape == (rows, b) and not w.flags.writeable, step
+            assert blocks.reusable or w.size < 2 * max(engine._BLOCK_CELLS, 2 * b), step
             j2 = 0
             for d, t in ts:  # depth slices of x.reshape(M, B), in order
-                assert d.start == j2 and t.shape == (r.stop - r.start, len(range(mm)[d])), step
+                assert d.start == j2 and t.shape == (rows, len(range(mm)[d])), step
                 assert not t.flags.writeable, step
                 held, j2 = held + t.size, j2 + t.shape[1]
             assert j2 == mm, step
-            r0 = r.stop
-        assert r0 == blocks.residues, step
-        q = 0
-        for a, (i, p) in blocks.per_row:
-            assert a.shape[2] == b and not a.flags.writeable, step
-            assert blocks.reusable or a.size <= max(engine._BLOCK_CELLS, b), step
-            assert a.shape[1] == period or a.shape[0] == 1, step
-            assert i.start * period + p.start == q, step
-            assert a.shape[:2] == np.empty(blocks.rows)[i, p].shape, step
-            q += a.shape[0] * a.shape[1]
-            held += a.size
-        assert q == m // step, step
+            for p, i, cols in runs:  # places p, G's rows i of the chunk, G's columns
+                assert p.start == p0 < p.stop <= period, step
+                assert (i.start, i.stop) == (p.start - r0, p.stop - r0) and i.stop <= rows, step
+                assert cols.step == step // g, step
+                assert all(step * q // mm == cols.start for q in range(p.start, p.stop)), step
+                p0 = p.stop
+            held, r0 = held + w.size, r0 + rows
+        assert r0 == max(2, period) and p0 == period, step
         assert held == blocks.values, step
+
+
+def test_oracle_at_2_18_gathers_under_a_million_twiddles():
+    # n = 2**18, c = 2**17: 256 residues of M = 512, each with M residue
+    # twiddles and B = 512 values of w, 262,144 in all, where a twiddle per
+    # row product would be c*B = 67,108,864; F is the length's, not the plan's
+    n = 1 << 18
+    blocks = engine._twiddles(n, 2)
+    assert not blocks.reusable and blocks.values == 256 * (512 + 512) < 1 << 20
+    held = 0
+    for ts, w, _ in blocks.chunks:
+        held += w.size + sum(t.size for _, t in ts)
+    assert held == blocks.values
+
+
+def test_dft_matrix_is_read_only_and_cached_once_per_length():
+    # F[j1, t] = W_B**(j1*t) holds B*B values, the length's table entries at
+    # M*((j1*t) mod B) bit for bit, built once per length, however many plans
+    # and directions read it, and no more of them kept than tables
+    engine._dft_matrix.cache_clear()
+    assert engine._dft_matrix.cache_info().maxsize == engine._TABLES
+    for misses, m in enumerate((4096, 24000, 8198, 4099), 1):
+        b = _largest_divisor_to_root(m)
+        x = random_complex(np.random.default_rng(m), m)
+        for direction, step in itertools.product((F, I), _divisors(m)[:4]):
+            _rows(x, step, direction)
+        dft_direct(x)
+        f = engine._dft_matrix(m, b)
+        assert f.shape == (b, b) and not f.flags.writeable
+        exponents = np.multiply.outer(np.arange(b), np.arange(b)) % b
+        assert f.tobytes() == twiddle_table(m)[m // b * exponents].tobytes()
+        info = engine._dft_matrix.cache_info()
+        assert (info.misses, info.currsize) == (misses, min(misses, engine._TABLES)), m
 
 
 def test_fft_length_one_and_golden():

@@ -313,31 +313,33 @@ def test_oracle_keeps_read_only_twiddles_per_live_plan(monkeypatch):
         return ricdft.engine._twiddles(m, step)
 
     monkeypatch.setattr(ricdft.ric, "_twiddles", counting)
-    # 256 rows of B = 240 values and R = 16 residues of M = 256: 2**16, the limit
-    plan = make_plan(61440, 256)
+    # P = 128 residues of M = 256, each with M residue twiddles and B = 256
+    # values of w: 2**16, the limit, for 32,768 rows
+    plan = make_plan(65536, 32768)
     x = random_complex(rng, plan.n)
     assert verify_against_oracle(x, plan).passed
-    assert calls == [(61440, 240)]  # one call for a fresh plan: its record says what to keep
+    assert calls == [(65536, 2)]  # one call for a fresh plan: its record says what to keep
     kept = ricdft.ric._kept[plan]
-    assert kept.reusable and len(kept.per_row) == 1  # the row blocks as one block of whole periods
-    blocks = [t for _, ts in kept.per_residue for _, t in ts] + [a for a, _ in kept.per_row]
+    assert kept.reusable and isinstance(kept.chunks, tuple)
+    blocks = [t for ts, _, _ in kept.chunks for _, t in ts] + [w for _, w, _ in kept.chunks]
     before = [block.copy() for block in blocks]
     assert sum(block.size for block in blocks) == kept.values == ricdft.engine._KEPT_CELLS
-    # the inverse conjugates each block into a fresh array, never in place
+    # the inverse conjugates each residue block into a fresh array and its own
+    # residue sums in place, never a kept block
     ricdft.ric._oracle(x, plan, I, UNITARY)
     assert ricdft.ric._kept[plan] is kept
     for block, old in zip(blocks, before):
         assert not block.flags.writeable and block.tobytes() == old.tobytes()
-    # 256 * 256 + 256 * 2 = 66,048 and 1024 * 64 + 64 * 16 = 66,560 values:
-    # just over the limit, nothing kept
-    for n, c in ((65536, 256), (4096, 1024)):
+    # 116 * (348 + 217) = 65,540 and 138 * (276 + 199) = 65,550 values: just
+    # over the limit, nothing kept
+    for n, c in ((75516, 25172), (54924, 27462)):
         big = make_plan(n, c)
         ricdft.ric._oracle(random_complex(rng, n), big, F, NONE)
         assert big not in ricdft.ric._kept
     # the entry dies with its plan
     del plan, kept
     gc.collect()
-    assert make_plan(61440, 256) not in ricdft.ric._kept
+    assert make_plan(65536, 32768) not in ricdft.ric._kept
 
 
 def test_second_verify_under_a_kept_plan_gathers_nothing(monkeypatch):
