@@ -28,13 +28,24 @@ class FoldedSequence:
 def fold(x, plan: RicPlan, counter: OpCounter | None = None) -> FoldedSequence:
     """Fold an n-point signal or spectrum down to c column sums.
 
-    output[col] = sum over row of x[row*c + col], for col in [0, c-1].
+    output[col] = sum over row of x[row*c + col], for col in [0, c-1]:
+    x converted once, then :func:`_fold`, the kernel the pipeline and the
+    verifier call on the array they converted themselves.
+    """
+    out = _fold(_complex_array(x), plan)
+    if counter is not None:
+        counter.add(plan.c * (plan.l - 1))
+    return FoldedSequence(samples=out, plan=plan)
+
+
+def _fold(x: np.ndarray, plan: RicPlan) -> np.ndarray:
+    """The c column sums of a converted x, in a fresh array; its length and the sums checked.
+
     Halves l and doubles the width w (first c) while l is even and l > w,
     sums the l' x w columns, then folds those w sums to c when w > c: a
     fixed order, not by ascending row.  NaN/Inf (or overflow) is sought in
     the c sums one by one only when their total is not finite.
     """
-    x = _complex_array(x)
     if len(x) != plan.n:
         raise LengthMismatchError(f"sequence has {len(x)} samples, plan expects {plan.n}")
     l, w = plan.l, plan.c
@@ -44,11 +55,9 @@ def fold(x, plan: RicPlan, counter: OpCounter | None = None) -> FoldedSequence:
         out = np.add.reduce(x.reshape(l, w), axis=0)
         if w > plan.c:
             out = np.add.reduce(out.reshape(w // plan.c, plan.c), axis=0)
-        if not cmath.isfinite(out.sum()):  # any sum not finite, or finite sums overflowing
+        if not cmath.isfinite(np.add.reduce(out)):  # any sum not finite, or finite sums overflowing
             _finite(out, "sequence, or a column sum overflows")
-    if counter is not None:
-        counter.add(plan.c * (plan.l - 1))
-    return FoldedSequence(samples=out, plan=plan)
+    return out
 
 
 # The inverse path folds a spectrum with the same kernel.

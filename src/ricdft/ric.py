@@ -17,7 +17,6 @@ n = B*M and the P residues of the rows mod M (:mod:`ricdft.engine`), and
 reports the disagreement: the package's ground-truth equivalence check.
 """
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .core import (Direction, LengthMismatchError, NormalizationMode, RicPlan, _complex_array,
                    _member, _tolerance)
 from .engine import _direct_rows, _fft, _scaled, _twiddles, op_counts
-from .fold import fold
+from .fold import _fold
 
 
 @dataclass(frozen=True)
@@ -62,18 +61,18 @@ def ric_op_counts(plan: RicPlan) -> tuple[int, int]:
 def _ric(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> RicSpectrum:
     """Fold, an unscaled c-point FFT in ``direction``, then the scale at length n.
 
-    :func:`fold` validates x, its length and the c sums, once per call.
-    ``direction`` and ``mode`` take a member or its string value; the
-    spectrum records the member.
+    x is converted once; :func:`ricdft.fold._fold` checks its length and
+    the c sums.  ``direction`` and ``mode`` take a member or its string
+    value; the spectrum records the member.
     """
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
     indices = ric_index_set(plan)  # first, so its temporary is freed before the sums exist
-    return RicSpectrum(indices, _values(x, plan, direction, mode), plan, mode, direction)
+    return RicSpectrum(indices, _values(_complex_array(x), plan, direction, mode), plan, mode, direction)
 
 
-def _values(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
-    """The pipeline's c values: the fold's fresh sums, transformed and scaled in their own buffer."""
-    sums = fold(x, plan).samples
+def _values(x: np.ndarray, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
+    """The pipeline's c values of a converted x: the fold's fresh sums, transformed and scaled there."""
+    sums = _fold(x, plan)
     return _scaled(_fft(sums, direction, out=sums), direction, mode, plan.n)
 
 
@@ -114,12 +113,12 @@ def compare_values(got, oracle, tolerance: float = 1e-9) -> VerificationReport:
     got, oracle = _complex_array(got), _complex_array(oracle)
     if got.shape != oracle.shape:
         raise LengthMismatchError(f"got has {got.size} values, the oracle {oracle.size}")
-    return _report(got, oracle, tolerance)
+    return _report(got - oracle, oracle, tolerance)  # out of place: got may be the caller's array
 
 
-def _report(got: np.ndarray, oracle: np.ndarray, tolerance: float) -> VerificationReport:
-    """:func:`compare_values` of two checked arrays of one shape and a checked tolerance."""
-    max_abs = float(np.abs(got - oracle).max())
+def _report(difference: np.ndarray, oracle: np.ndarray, tolerance: float) -> VerificationReport:
+    """The report on got = oracle + ``difference``, two checked arrays of one shape."""
+    max_abs = float(np.abs(difference).max())
     denom = float(np.abs(oracle).max())
     max_rel = max_abs / denom if denom > 0.0 else (0.0 if max_abs == 0.0 else float("inf"))
     return VerificationReport(max_abs, max_rel, passed=max_rel <= tolerance, tolerance=tolerance)
@@ -136,17 +135,16 @@ def verify_against_oracle(
 
     Both paths are evaluated at the retained indices k*L; the relative
     error is measured against the max magnitude of the direct values.
-    Passes iff max_rel_error <= tolerance; a bad tolerance raises first.
-    Each argument is checked once; only the two compared arrays are built.
+    Passes iff max_rel_error <= tolerance; a bad tolerance raises first,
+    a wrong length before the oracle runs.  Each check runs once: x is
+    converted once, and the pipeline's fresh values become the difference
+    in place, so the two compared arrays are all a call builds.
     """
     tolerance = _tolerance(tolerance)
-    x = _complex_array(x)  # the fold's own conversion of this array is the identity
+    x = _complex_array(x)
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
-    return _report(_values(x, plan, direction, mode), _oracle(x, plan, direction, mode), tolerance)
-
-
-# Each live plan's kept oracle twiddle blocks; an entry dies with its plan.
-_kept = weakref.WeakKeyDictionary()
+    got, oracle = _values(x, plan, direction, mode), _oracle(x, plan, direction, mode)
+    return _report(np.subtract(got, oracle, out=got), oracle, tolerance)
 
 
 def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
@@ -154,13 +152,14 @@ def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> 
 
     Rows k*L of the n-point direct transform, scaled at length n: the row
     kernel of :func:`dft_direct` at step L, so its rows bit for bit, on the
-    twiddle blocks a plan keeps when the engine returns them reusable.  The
-    fold, the c-point FFT and W_n**(l*m) = W_c**m go unused.  Checks nothing:
-    the fold has accepted x (its length, and a NaN/Inf sample through its
-    column sum) and direction and mode are members.
+    twiddle blocks a plan keeps when the engine returns them reusable: in
+    the plan object's own ``__dict__``, found without hashing the plan and
+    freed with it.  The fold, the c-point FFT and W_n**(l*m) = W_c**m go
+    unused.  Checks nothing: the fold has accepted x (its length, and a
+    NaN/Inf sample through its column sum) and direction and mode are members.
     """
-    if (blocks := _kept.get(plan)) is None:
+    if (blocks := plan.__dict__.get("_oracle_blocks")) is None:
         blocks = _twiddles(plan.n, plan.l)
         if blocks.reusable:
-            _kept[plan] = blocks
+            plan.__dict__["_oracle_blocks"] = blocks
     return _scaled(_direct_rows(x, direction, blocks), direction, mode, plan.n)

@@ -1,7 +1,10 @@
 import gc
+import importlib
 import itertools
 import math
+import pickle
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 import ricdft.ric
 from ricdft import (
     Direction,
+    FoldedSequence,
     LengthMismatchError,
     NormalizationMode,
     OpCounter,
@@ -196,14 +200,22 @@ def test_input_is_never_written_or_aliased(n, c):
         assert x.tobytes() == before.tobytes(), (run, mode)
         verify_against_oracle(x, plan, mode, direction)
         assert x.tobytes() == before.tobytes(), ("verify", direction, mode)
+    # compare_values takes a caller's complex128 arrays as they are, so it
+    # forms their difference out of place
+    got, oracle = spectrum.values, ricdft.ric._oracle(x, plan, I, UNITARY)
+    kept = got.copy(), oracle.copy()
+    report = compare_values(got, oracle)
+    assert report.passed and report.max_abs_error > 0.0, report
+    assert (got.tobytes(), oracle.tobytes()) == (kept[0].tobytes(), kept[1].tobytes())
 
 
 @pytest.mark.parametrize("c", (2 ** 12, 2 ** 17))
 @pytest.mark.parametrize("run", (ric_dft, ric_idft))
 def test_one_c_point_buffer_per_call(run, c):
     # the c sums (16c bytes) become the values, beside the 8c of the indices, built
-    # first, and the fold's c-byte finiteness mask; a second c-point array for the
-    # FFT's output would take the peak to 2 x 16c
+    # first (the fold builds a c-byte finiteness mask only when the sums' total is
+    # not finite); a second c-point array for the FFT's output would take the peak
+    # to 2 x 16c
     n = 2 ** 18
     x, plan = random_complex(np.random.default_rng(3), n), make_plan(n, c)
     run(x, plan, UNITARY)
@@ -319,7 +331,7 @@ def test_oracle_keeps_read_only_twiddles_per_live_plan(monkeypatch):
     x = random_complex(rng, plan.n)
     assert verify_against_oracle(x, plan).passed
     assert calls == [(65536, 2)]  # one call for a fresh plan: its record says what to keep
-    kept = ricdft.ric._kept[plan]
+    kept = vars(plan)["_oracle_blocks"]
     assert kept.reusable and isinstance(kept.chunks, tuple)
     blocks = [t for ts, _, _ in kept.chunks for _, t in ts] + [w for _, w, _ in kept.chunks]
     before = [block.copy() for block in blocks]
@@ -327,40 +339,51 @@ def test_oracle_keeps_read_only_twiddles_per_live_plan(monkeypatch):
     # the inverse conjugates each residue block into a fresh array and its own
     # residue sums in place, never a kept block
     ricdft.ric._oracle(x, plan, I, UNITARY)
-    assert ricdft.ric._kept[plan] is kept
+    assert vars(plan)["_oracle_blocks"] is kept
     for block, old in zip(blocks, before):
         assert not block.flags.writeable and block.tobytes() == old.tobytes()
+    # the record lives on the plan object: an equal plan holds none, and a
+    # pickled plan carries it
+    assert "_oracle_blocks" not in vars(make_plan(65536, 32768))
+    assert pickle.loads(pickle.dumps(plan)) == plan
     # 116 * (348 + 217) = 65,540 and 138 * (276 + 199) = 65,550 values: just
     # over the limit, nothing kept
     for n, c in ((75516, 25172), (54924, 27462)):
         big = make_plan(n, c)
         ricdft.ric._oracle(random_complex(rng, n), big, F, NONE)
-        assert big not in ricdft.ric._kept
-    # the entry dies with its plan
-    del plan, kept
+        assert "_oracle_blocks" not in vars(big)
+    # the record dies with its plan
+    block = weakref.ref(blocks[0])
+    del plan, kept, blocks
     gc.collect()
-    assert make_plan(65536, 32768) not in ricdft.ric._kept
+    assert block() is None
 
 
 def test_second_verify_under_a_kept_plan_gathers_nothing(monkeypatch):
     # the second call reads the kept blocks: no gather, and no index set,
-    # as verify builds no spectrum and the oracle reads its rows by step
+    # as verify builds no spectrum and the oracle reads its rows by step;
+    # it converts x once, builds no FoldedSequence and finds the kept
+    # record without hashing the plan
     plan = make_plan(4096, 512)
     x = random_complex(np.random.default_rng(42), plan.n)
     verify_against_oracle(x, plan)
-    assert plan in ricdft.ric._kept
+    assert "_oracle_blocks" in vars(plan)
     calls = []
 
-    def counting(fn):
-        def wrapper(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
+    def counting(fn, name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(ricdft.ric, "_twiddles", counting(ricdft.ric._twiddles))
-    monkeypatch.setattr(ricdft.ric, "ric_index_set", counting(ricdft.ric.ric_index_set))
+    monkeypatch.setattr(ricdft.ric, "_twiddles", counting(ricdft.ric._twiddles, "_twiddles"))
+    monkeypatch.setattr(ricdft.ric, "ric_index_set", counting(ricdft.ric.ric_index_set, "index set"))
+    for module in (ricdft.ric, importlib.import_module("ricdft.fold")):  # ricdft.fold is the function
+        monkeypatch.setattr(module, "_complex_array", counting(module._complex_array, "convert"))
+    monkeypatch.setattr(FoldedSequence, "__init__", counting(FoldedSequence.__init__, "folded"))
+    monkeypatch.setattr(type(plan), "__hash__", counting(type(plan).__hash__, "hash"))
     assert verify_against_oracle(x, plan, direction=I).passed
-    assert calls == []
+    assert calls == ["convert"]
 
 
 def test_oracle_is_independent_of_the_fast_path(monkeypatch):
@@ -371,7 +394,7 @@ def test_oracle_is_independent_of_the_fast_path(monkeypatch):
     def fast_path(*args, **kwargs):
         raise AssertionError("the oracle used the fold or the c-point transform")
 
-    monkeypatch.setattr(ricdft.ric, "fold", fast_path)
+    monkeypatch.setattr(ricdft.ric, "_fold", fast_path)
     monkeypatch.setattr(ricdft.ric, "_fft", fast_path)
     for plan, values in zip(plans, want):
         assert ricdft.ric._oracle(x, plan, F, UNITARY).tobytes() == values.tobytes()
