@@ -10,10 +10,10 @@ cached.  Exponents stay exact integers, reduced modulo m before the
 table is indexed, so W_m**a == W_m**(a mod m) holds exactly even for
 huge exponents.  The direct row kernel, which also gives the oracle its
 rows k = step*q, splits j = j1 + B*j2 and k = r + M*t for m = B*M as
-Bailey's four-step FFT (1990) does, a B-point DFT matrix in place of its
-inner FFTs, and forms only the P residues k mod M of its rows, as
-output-pruned DFTs do (Sorensen & Burrus, 1993): m*P + P*B*B products,
-not m*c.  Every path scales once, in ``_scaled``.
+Bailey's four-step FFT (1990) does, a B-point DFT matrix, read from the
+same table, in place of its inner FFTs, and forms only the P residues k
+mod M of its rows, as output-pruned DFTs do (Sorensen & Burrus, 1993):
+m*P + P*B*B products, not m*c.  Every path scales once, in ``_scaled``.
 
 Operation counting conventions: the direct engine counts the definition,
 every twiddle product (including multiplications by 1, -1, +-j) as one
@@ -112,15 +112,16 @@ def _direct_rows(x: np.ndarray, direction: Direction, blocks: _RowBlocks) -> np.
     ``blocks`` is what ``_twiddles(m, step)`` returned, kept or fresh, for a
     validated length-m x.  With m = B*M, j = j1 + B*j2 and k = r + M*t, row k
     is G[k mod M, t] of Y = T*X (Y[r, j1] = sum over j2 of W_M**(r*j2) *
-    x[j1 + B*j2]), Z = w*Y (w[r, j1] = W_m**(r*j1)) and G = Z*F.  A row gets
-    the same bits at any step: Y and G are BLAS products of depth _DEPTH over
-    two or more residues (one takes BLAS's vector path, which rounds
-    differently) summed in depth order, G's over all B columns of F.  The
-    inverse reads the forward twiddles: conj(T)*X, conj(G of w*conj(Y)).
+    x[j1 + B*j2]), Z = w*Y (w[r, j1] = W_m**(r*j1)) and G = Z*F, read at ``at``.
+    A row gets the same bits at any step: Y and G are BLAS products of depth
+    _DEPTH over two or more residues (one takes BLAS's vector path, which
+    rounds differently) summed in depth order, G's over all B columns of F.
+    The inverse reads the forward twiddles: conj(T)*X, conj(G of w*conj(Y)).
     """
     xt, inverse = x.reshape(-1, blocks.b), direction is Direction.INVERSE  # xt[j2, j1] = x[j1 + B*j2]
     f, out = _dft_matrix(x.size, blocks.b), np.empty(blocks.rows, complex)  # row P*i + p at out[i, p]
-    for ts, w, places in blocks.chunks:  # one chunk of Y's rows, one gathered depth slice alive at a time
+    p0 = 0
+    for ts, w, at in blocks.chunks:  # one chunk of Y's rows, one gathered depth slice alive at a time
         y = g = None
         for d, t in ts:  # each sum goes into its first product
             product = (t.conj() if inverse else t) @ xt[d]
@@ -129,16 +130,15 @@ def _direct_rows(x: np.ndarray, direction: Direction, blocks: _RowBlocks) -> np.
         for d in range(0, blocks.b, _DEPTH):
             product = y[:, d:d + _DEPTH] @ f[d:d + _DEPTH]
             g = product if g is None else np.add(g, product, out=g)
-        for p, i, t in places:
-            out[:, p] = g[i, t].T
+        out[:, p0:p0 + at.shape[1]] = g.reshape(-1)[at]
+        p0 += at.shape[1]
     return np.conjugate(out, out=out).reshape(-1) if inverse else out.reshape(-1)
 
 
 @functools.lru_cache(maxsize=_TABLES)
 def _dft_matrix(m: int, b: int) -> np.ndarray:
-    """F[j1, t] = W_B**(j1*t), read-only: m's table at M*((j1*t) mod B), formed, not read."""
-    exponents = np.multiply.outer(np.arange(b), np.arange(b)) % b
-    return _read_only(np.exp(-2j * np.pi * np.arange(0, m, m // b) / m)[exponents])
+    """F[j1, t] = W_B**(j1*t), read-only: m's table at M*((j1*t) mod B), read from a contiguous copy."""
+    return _read_only(twiddle_table(m)[::m // b].copy()[np.arange(b)[:, None] * np.arange(b) % b])
 
 
 def _twiddles(m: int, step: int) -> _RowBlocks:
@@ -146,12 +146,14 @@ def _twiddles(m: int, step: int) -> _RowBlocks:
 
     m = B*M, B the largest divisor of m not above isqrt(m).  The residues k
     mod M repeat with the period P = M/gcd(step, M); Y's row p, of at least
-    two, is the residue r = step*p mod M of the rows q = P*i + p.  Each chunk
-    of Y's rows gives its depth slices (d, W_m**(r*B*j2) for j2 in d), its w
-    = W_m**(r*j1) and runs of its places p that read G's columns t0, t0 +
-    step/gcd(step, M), ... (t = floor(step*q/M)): M*max(2, P) + max(2, P)*B
-    values.  It alone decides layout and keep size: at most _KEPT_CELLS come
-    back materialized and ``reusable``, more lazily in chunks of about
+    two, is the residue r = step*p mod M of the rows q = P*i + p, and row q
+    is G[p, floor(step*p/M) + s*i] for s = step*P/M, so B = (c/P)*s.  Each
+    chunk of Y's rows p0, ... gives its depth slices (d, W_m**(r*B*j2) for j2
+    in d), its w = W_m**(r*j1) and ``at``, its places' flat index into its
+    G, at[i, p - p0] = (p - p0)*B + floor(step*p/M) + s*i for p < P:
+    M*max(2, P) + max(2, P)*B twiddles and c indices.  It alone decides
+    layout and keep size: at most _KEPT_CELLS twiddles come back
+    materialized and ``reusable``, more lazily in chunks of about
     _BLOCK_CELLS values, all read-only; ``rows`` is the outputs' shape (c/P, P).
     """
     b = next(d for d in range(math.isqrt(m), 0, -1) if m % d == 0)
@@ -159,21 +161,18 @@ def _twiddles(m: int, step: int) -> _RowBlocks:
     period = mm // math.gcd(step, mm)
     residues = max(2, period)  # one would go to BLAS's gemv; at P = 1, M divides step
 
-    def places(p0, end):  # runs of places from p0 whose rows start at one column t0 of G
-        for t0 in np.unique(step * np.arange(p0, end) // mm).tolist():
-            p, q = max(p0, -(-mm * t0 // step)), min(end, -(-mm * (t0 + 1) // step))
-            yield slice(p, q), slice(p - p0, q - p0), slice(t0, None, step * period // mm)
-
-    def chunk(p):  # Y's rows p, T a depth slice at a time: no M-point or c-point array is held
+    def chunk(p):  # Y's rows p, T a depth slice at a time: no M-point array is held
         r = p[:, None] * step % mm  # r*j1 < m, so w's exponents need no reduction
         ts = ((slice(d, d + _DEPTH), _read_only(table[r * b * np.arange(d, min(d + _DEPTH, mm)) % m]))
               for d in range(0, mm, _DEPTH))
-        return ts, _read_only(table[r * np.arange(b)]), places(int(p[0]), min(int(p[-1]) + 1, period))
+        places = p[p < period]
+        at = (places - p[0]) * b + step * places // mm + np.arange(0, b, step * period // mm)[:, None]
+        return ts, _read_only(table[r * np.arange(b)]), _read_only(at)
 
     rows = max(2, _BLOCK_CELLS // max(_DEPTH, b))  # of Y per chunk, two or more
     chunks = (chunk(p) for p in np.array_split(np.arange(residues), max(1, residues // rows)))
     if reusable := (values := residues * (mm + b)) <= _KEPT_CELLS:
-        chunks = tuple((tuple(ts), w, tuple(runs)) for ts, w, runs in chunks)
+        chunks = tuple((tuple(ts), w, at) for ts, w, at in chunks)
     return _RowBlocks(b, (c // period, period), values, reusable, chunks)
 
 

@@ -38,6 +38,7 @@ def fold(x, plan: RicPlan, counter: OpCounter | None = None) -> FoldedSequence:
     return FoldedSequence(samples=out, plan=plan)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a decorator state is entered afresh per call, per thread
 def _fold(x: np.ndarray, plan: RicPlan) -> np.ndarray:
     """The c column sums of a converted x, in a fresh array; its length and the sums checked.
 
@@ -51,12 +52,11 @@ def _fold(x: np.ndarray, plan: RicPlan) -> np.ndarray:
     l, w = plan.l, plan.c
     while l % 2 == 0 and l > w:
         l, w = l // 2, w * 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.add.reduce(x.reshape(l, w), axis=0)
-        if w > plan.c:
-            out = np.add.reduce(out.reshape(w // plan.c, plan.c), axis=0)
-        if not cmath.isfinite(np.add.reduce(out)):  # any sum not finite, or finite sums overflowing
-            _finite(out, "sequence, or a column sum overflows")
+    out = np.add.reduce(x.reshape(l, w), axis=0)
+    if w > plan.c:
+        out = np.add.reduce(out.reshape(w // plan.c, plan.c), axis=0)
+    if not cmath.isfinite(np.add.reduce(out)):  # any sum not finite, or finite sums overflowing
+        _finite(out, "sequence, or a column sum overflows")
     return out
 
 

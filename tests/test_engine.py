@@ -207,9 +207,10 @@ def test_twiddles_count_the_values_their_blocks_hold(m):
     # with the blocks, before any is gathered; a row set of at most
     # _KEPT_CELLS values comes back materialized, a larger one lazily; the
     # chunks of Y's rows, of two or more and lazily of about _BLOCK_CELLS
-    # values, and their depth slices cover them in order, and each run of
-    # places p < P reads G's row p of its chunk from column floor(s*p/M),
-    # every s/gcd(s, M)-th column
+    # values, and their depth slices cover them in order, and each chunk's
+    # read-only index at[i, p - p0] = (p - p0)*B + floor(s*p/M) + i*s/gcd(s, M)
+    # reads row q = P*i + p of its places p < P from its G, flat, with
+    # B == (c/P)*s/gcd(s, M): the chunks' real places cover [0, P) in order
     b = _largest_divisor_to_root(m)
     mm = m // b
     for step in _divisors(m):
@@ -219,12 +220,13 @@ def test_twiddles_count_the_values_their_blocks_hold(m):
         assert blocks.values == mm * max(2, period) + max(2, period) * b, step
         assert blocks.b == b and blocks.rows == (m // step // period, period), step
         assert blocks.reusable == (blocks.values <= engine._KEPT_CELLS), step
+        assert b == m // step // period * (step // g), step
         if blocks.reusable:
             assert isinstance(blocks.chunks, tuple), step
         held, r0, p0 = 0, 0, 0
-        for ts, w, runs in blocks.chunks:
+        for ts, w, at in blocks.chunks:
             if blocks.reusable:
-                assert isinstance(ts, tuple) and isinstance(runs, tuple), step
+                assert isinstance(ts, tuple), step
             rows = w.shape[0]
             assert rows >= 2 and w.shape == (rows, b) and not w.flags.writeable, step
             assert blocks.reusable or w.size < 2 * max(engine._BLOCK_CELLS, 2 * b), step
@@ -234,12 +236,12 @@ def test_twiddles_count_the_values_their_blocks_hold(m):
                 assert not t.flags.writeable, step
                 held, j2 = held + t.size, j2 + t.shape[1]
             assert j2 == mm, step
-            for p, i, cols in runs:  # places p, G's rows i of the chunk, G's columns
-                assert p.start == p0 < p.stop <= period, step
-                assert (i.start, i.stop) == (p.start - r0, p.stop - r0) and i.stop <= rows, step
-                assert cols.step == step // g, step
-                assert all(step * q // mm == cols.start for q in range(p.start, p.stop)), step
-                p0 = p.stop
+            places = np.arange(r0, min(r0 + rows, period))  # the chunk's real places
+            assert p0 == r0 and not at.flags.writeable, step
+            assert at.shape == (m // step // period, len(places)), step
+            i = np.arange(m // step // period)[:, None]
+            assert np.array_equal(at, (places - r0) * b + step * places // mm + i * (step // g)), step
+            p0 += places.size
             held, r0 = held + w.size, r0 + rows
         assert r0 == max(2, period) and p0 == period, step
         assert held == blocks.values, step
@@ -322,12 +324,14 @@ def test_fft_matches_numpy_every_pow2_length_to_2_17(direction, mode):
 
 
 def test_direct_reads_only_the_table_of_its_length():
+    # the row kernel's twiddles and the DFT matrix F both read the one table
     twiddle_table.cache_clear()
+    engine._dft_matrix.cache_clear()
     x = random_complex(np.random.default_rng(30), 1024)
     dft_direct(x, F)
     dft_direct(x, I)
     info = twiddle_table.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
     assert twiddle_table(1024) is twiddle_table(1024)
 
 

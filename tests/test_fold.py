@@ -210,6 +210,32 @@ def test_fold_finite_sums_whose_total_overflows_pass():
                 assert fold(x, make_plan(n, c)).samples.tobytes() == want.tobytes(), (n, c, part)
 
 
+@pytest.mark.filterwarnings("error")
+def test_fold_keeps_its_error_state_under_a_raising_caller():
+    # the fold ignores overflow and invalid results inside itself whatever the
+    # caller's error state: under all="raise" a NaN sample, Inf - Inf in one
+    # column and an overflowing column sum raise only the one SequenceError,
+    # finite sums whose total overflows pass, and the caller's state is kept
+    plan = make_plan(8, 4)
+    nan, inf_minus_inf, overflow = np.ones(8, complex), np.zeros(8, complex), np.zeros(8, complex)
+    nan[3] = math.nan
+    inf_minus_inf[[1, 5]] = math.inf, -math.inf
+    overflow[[2, 6]] = 1e308
+    big_total = np.zeros(8, complex)
+    big_total[[0, 1]] = 1e308
+    outside = np.geterr()
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        for x in (nan, inf_minus_inf, overflow):
+            with pytest.raises(SequenceError) as err:
+                fold(x, plan)
+            assert str(err.value) == NON_FINITE
+        assert fold(big_total, plan).samples.tobytes() == big_total[:4].tobytes()
+        assert np.geterr() == before == {"divide": "raise", "over": "raise", "under": "raise",
+                                         "invalid": "raise"}
+    assert np.geterr() == outside
+
+
 def _pass_lengths(l, c):
     # the two pass lengths of fold's kernel: l' rows of width w, then w/c rows
     w = c

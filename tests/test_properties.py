@@ -8,7 +8,9 @@ signal, then slicing [::l], is the independent reference.
 import numpy as np
 import pytest
 
-from ricdft import Direction, NormalizationMode, compare_values, fold, make_plan, ric_dft, ric_idft
+from ricdft import (Direction, NormalizationMode, compare_values, dft_direct, fold, make_plan, ric_dft,
+                    ric_idft, verify_against_oracle)
+from ricdft import ric
 
 from helpers import random_complex
 
@@ -74,3 +76,17 @@ def test_fold_shift_rule(case):
     folded = fold(x, plan).samples
     assert compare_values(fold(np.roll(x, plan.c), plan).samples, folded, 1e-12).passed, plan
     assert compare_values(fold(np.roll(x, 1), plan).samples, np.roll(folded, 1), 1e-12).passed, plan
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_oracle_rows_are_the_direct_transform_sliced(case):
+    # the oracle reads its c rows of G at a closed-form index; over random
+    # (n, c) they are dft_direct's rows k*l bit for bit, from a fresh record
+    # and from the plan's kept one, and the pipeline passes against them
+    _, plan, x = random_case(case)
+    for direction, mode in NPFFT_NORM:
+        want = dft_direct(x, direction, mode)[:: plan.l]
+        for _ in range(2):
+            assert ric._oracle(x, plan, direction, mode).tobytes() == want.tobytes(), (plan, direction)
+        report = verify_against_oracle(x, plan, mode, direction)
+        assert report.passed, (plan, direction, mode, report)
