@@ -17,19 +17,13 @@ import sys
 
 import numpy as np
 
-from .core import (Direction, NormalizationMode, OutOfRangeError, RicdftError, _size, _tolerance,
-                   make_plan)
+from .core import Direction, NormalizationMode, OutOfRangeError, RicdftError, RicPlan, _size, _tolerance
 from .engine import op_counts
 from .fold import fold
-from .io import (SignalFileError, SignalFormat, read_signal, synthesize_tones, write_signal,
-                 write_spectrum)
+from .io import (_SPECTRUM_FORMATS, SignalFileError, SignalFormat, read_signal, synthesize_tones,
+                 write_signal, write_spectrum)
 from .planner import InfeasibleError, plan_for_frequencies
 from .ric import ric_dft, ric_idft, ric_op_counts, verify_against_oracle
-
-
-def _add_plan_flags(sub):
-    sub.add_argument("--n", type=int, required=True, help="total length")
-    sub.add_argument("--c", type=int, required=True, help="compressed length, a divisor of n")
 
 
 def _numbers(text: str, kind) -> list:
@@ -41,7 +35,7 @@ def _numbers(text: str, kind) -> list:
 
 
 def cmd_compress(args) -> int:
-    plan = make_plan(args.n, args.c)
+    plan = RicPlan(args.n, args.c)
     x = read_signal(args.infile, args.in_format)
     write_signal(fold(x, plan).samples, args.outfile, args.out_format)
     print(f"folded {plan.n} -> {plan.c} samples (complex_adds={plan.c * (plan.l - 1)})")
@@ -49,7 +43,7 @@ def cmd_compress(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    plan = make_plan(args.n, args.c)
+    plan = RicPlan(args.n, args.c)
     spectrum = args.ric(read_signal(args.infile, args.in_format), plan, args.mode)
     write_spectrum(spectrum, args.outfile, args.out_format)
     adds, mults = ric_op_counts(plan)
@@ -92,7 +86,7 @@ def cmd_bench(args) -> int:
         cs = given or [1 << p for p in range(1, n.bit_length() - 1) if n % (1 << p) == 0]
         if not cs:
             raise RicdftError(f"n={n} has no power-of-two c in [2, n/2]; give --c-list")
-        for plan in (make_plan(n, c) for c in cs):
+        for plan in (RicPlan(n, c) for c in cs):
             rows += [(n, plan.c, plan.l, "full", *op_counts(n)),
                      (n, plan.c, plan.l, "ric", *ric_op_counts(plan))]
     print("n,c,l,method,complex_adds,complex_mults")
@@ -103,7 +97,7 @@ def cmd_bench(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _tolerance(args.tol)  # before the input is built or read
-    plan = make_plan(args.n, args.c)
+    plan = RicPlan(args.n, args.c)
     if args.random == (args.infile is not None):  # neither or both
         raise RicdftError("give either --in FILE or --random, not both")
     if args.random:
@@ -148,25 +142,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     formats = [f.value for f in SignalFormat]
+    plan = argparse.ArgumentParser(add_help=False)  # flag groups the subcommands inherit
+    plan.add_argument("--n", type=int, required=True, help="total length")
+    plan.add_argument("--c", type=int, required=True, help="compressed length, a divisor of n")
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--in", dest="infile", required=True)
+    files.add_argument("--out", dest="outfile", required=True)
 
-    p = sub.add_parser("compress", help="fold an n-point signal to c column sums")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", dest="outfile", required=True)
-    _add_plan_flags(p)
+    p = sub.add_parser("compress", help="fold an n-point signal to c column sums", parents=[files, plan])
     p.add_argument("--in-format", choices=formats, default="csv")
     p.add_argument("--out-format", choices=formats, default="csv")
     p.set_defaults(func=cmd_compress)
 
     for name, ric, helptext in [("dft", ric_dft, "forward transform at the retained indices"),
                                 ("idft", ric_idft, "inverse transform at the retained indices")]:
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--out", dest="outfile", required=True)
-        _add_plan_flags(p)
+        p = sub.add_parser(name, help=helptext, parents=[files, plan])
         p.add_argument("--mode", choices=[m.value for m in NormalizationMode],
                        default="none" if name == "dft" else "recip-n")
         p.add_argument("--in-format", choices=formats, default="csv")
-        p.add_argument("--out-format", choices=["csv", "json"], default="csv")
+        p.add_argument("--out-format", choices=_SPECTRUM_FORMATS, default="csv")
         p.set_defaults(func=cmd_transform, ric=ric)
 
     p = sub.add_parser("plan", help="choose (n, c) so targets land on retained bins")
@@ -185,10 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
                                     "(default: each power of two dividing n in [2, n/2])")
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("verify", help="check the folded path against the direct transform")
+    p = sub.add_parser("verify", parents=[plan],
+                       help="check the folded path against the direct transform")
     p.add_argument("--in", dest="infile")
     p.add_argument("--random", action="store_true", help="use a seeded random input")
-    _add_plan_flags(p)
     p.add_argument("--mode", choices=[m.value for m in NormalizationMode], default="none")
     p.add_argument("--direction", choices=[d.value for d in Direction], default="forward")
     p.add_argument("--tol", type=float, default=1e-9)

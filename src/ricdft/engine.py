@@ -13,17 +13,10 @@ rows k = step*q, splits j = j1 + B*j2 and k = r + M*t for m = B*M as
 Bailey's four-step FFT (1990) does, a B-point DFT matrix, read from the
 same table, in place of its inner FFTs, and forms only the P residues k
 mod M of its rows, as output-pruned DFTs do (Sorensen & Burrus, 1993):
-m*P + P*B*B products, not m*c.  Every path scales once, in ``_scaled``.
-
-Operation counting conventions: the direct engine counts the definition,
-every twiddle product (including multiplications by 1, -1, +-j) as one
-complex multiplication, M*M in total, plus M*(M-1) complex additions.  A
-radix-2 FFT counts one complex multiplication and two complex additions
-per butterfly, i.e. (M/2)*log2(M) multiplications and M*log2(M)
-additions; trivial twiddles are multiplied and counted like any other.
-:func:`op_counts` gives, in these closed forms, the count of a length:
-radix-2 for a power of two, else direct; :func:`transform` tallies it.
-Output scaling applied by a normalization mode is not counted.
+m*P + P*B*B products, not m*c.  ``_direct_rows`` states its stages and
+when a row's bits repeat, ``_twiddles`` its layout and keep size, and
+:func:`op_counts` the counting convention.  Every path scales once, in
+``_scaled``.
 """
 
 import collections
@@ -68,10 +61,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def op_counts(m: int) -> tuple[int, int]:
-    """(complex_adds, complex_mults) of the reference engine at length m.
+    """(complex_adds, complex_mults) of the reference engine at length m, exact at any m.
 
-    Radix-2 when m is a power of two, (m*log2(m), (m/2)*log2(m)); else
-    direct, (m*(m-1), m*m).  Exact integers at any m.
+    The counting convention: the definition takes m*(m-1) complex additions
+    and m*m multiplications, a radix-2 FFT one multiplication and two
+    additions per butterfly, (m*log2(m), (m/2)*log2(m)), and every twiddle
+    product counts, by 1, -1 or +-j too; m gets radix-2's count when it is
+    a power of two.  :func:`transform` tallies this and :func:`dft_direct`
+    the definition's at every m, not the work that runs; scaling is not counted.
     """
     if is_power_of_two(m):
         stages = m.bit_length() - 1
@@ -89,11 +86,10 @@ def dft_direct(
 
     output[k] = scale * sum over n of x[n] * W_M**(-+ k*n), with the sign
     chosen by ``direction`` and the scale by ``mode``.  Valid for any
-    length; this is the reference the fast paths are checked against.
-    Its row kernel takes M*(M/B + B + 1) products for M = B*(M/B); ``counter``
-    still tallies the definition's M*(M-1) additions and M*M
-    multiplications, a convention and not the kernel's work.
-    ``direction`` and ``mode`` take a member or its string value.
+    length; this is the reference the fast paths are checked against, by
+    the module's row kernel at step 1.  ``counter`` tallies the definition
+    (:func:`op_counts`).  ``direction`` and ``mode`` take a member or its
+    string value.
     """
     x = as_complex_sequence(x)
     direction, mode, m = _member(Direction, direction), _member(NormalizationMode, mode), len(x)

@@ -26,12 +26,14 @@ from enum import Enum
 import numpy as np
 
 from .core import OutOfRangeError, RicdftError, _member, _real, _shown, _size, as_complex_sequence
-from .ric import RicSpectrum
 
 
 class SignalFormat(str, Enum):
     CSV = "csv"
     RAW_F64 = "raw-f64"
+
+
+_SPECTRUM_FORMATS = ("csv", "json")  # the names write_spectrum takes, in any case
 
 
 class SignalFileError(RicdftError, ValueError):
@@ -141,14 +143,14 @@ def write_signal(x, path, fmt=SignalFormat.CSV):
         x.astype("<c16").tofile(path)
 
 
-def write_spectrum(spectrum: RicSpectrum, path, fmt="csv"):
-    """Write retained coefficients as csv (k,index,re,im) or json.
+def write_spectrum(spectrum, path, fmt="csv"):
+    """Write a :class:`ricdft.ric.RicSpectrum`'s coefficients as csv (k,index,re,im) or json.
 
     The json document holds a header record with the plan and conventions
     plus the list of entry records.
     """
     kind = str(fmt).lower() if isinstance(fmt, str) else None
-    if kind not in ("csv", "json"):
+    if kind not in _SPECTRUM_FORMATS:
         raise OutOfRangeError(f"unknown spectrum format {_shown(fmt)}")
     fields = ("k", "index", "re", "im")
     rows = [(k, idx, float(z.real), float(z.imag)) for k, (idx, z) in enumerate(spectrum.entries)]

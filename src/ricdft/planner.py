@@ -19,7 +19,7 @@ k = 6004199023210345 of c = 2**54 hits exactly at fs = 1000 Hz.
 
 from dataclasses import dataclass
 
-from .core import OutOfRangeError, RicdftError, RicPlan, _real, _size, _tolerance, make_plan
+from .core import OutOfRangeError, RicdftError, RicPlan, _real, _size, _tolerance
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def plan_for_frequencies(
     best_err = float("inf")
     best_plan: RicPlan | None = None
     for c in _candidate_cs(max_n, power_of_two_only):
-        plan = make_plan(2 * c, c)
+        plan = RicPlan(2 * c, c)
         assignments = tuple(_assign(t, plan, sample_rate) for t in targets)
         worst = max(a.rel_error for a in assignments)
         if worst <= tol:

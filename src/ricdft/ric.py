@@ -12,9 +12,9 @@ DFT at the retained indices, so nothing is scaled at length c
 The cost of a call follows from its plan alone: :func:`ric_op_counts`.
 
 :func:`verify_against_oracle` re-derives the same coefficients from the
-definition at the c retained rows only, in about n*P + P*B*B products for
-n = B*M and the P residues of the rows mod M (:mod:`ricdft.engine`), and
-reports the disagreement: the package's ground-truth equivalence check.
+definition at the c retained rows only, by the row kernel of
+:mod:`ricdft.engine`, and reports the disagreement: the package's
+ground-truth equivalence check.
 """
 
 from dataclasses import dataclass
@@ -148,15 +148,15 @@ def verify_against_oracle(
 
 
 def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
-    """The retained coefficients by the definition, in about n*P + P*B*B products.
+    """The retained coefficients by the definition: rows k*L of the n-point direct transform.
 
-    Rows k*L of the n-point direct transform, scaled at length n: the row
-    kernel of :func:`dft_direct` at step L, so its rows bit for bit, on the
-    twiddle blocks a plan keeps when the engine returns them reusable: in
-    the plan object's own ``__dict__``, found without hashing the plan and
-    freed with it.  The fold, the c-point FFT and W_n**(l*m) = W_c**m go
-    unused.  Checks nothing: the fold has accepted x (its length, and a
-    NaN/Inf sample through its column sum) and direction and mode are members.
+    The row kernel of :mod:`ricdft.engine` at step L, scaled at length n,
+    on the twiddle record a plan keeps when the engine returns it
+    reusable: in the plan object's own ``__dict__``, found without hashing
+    the plan and freed with it.  The fold, the c-point FFT and
+    W_n**(l*m) = W_c**m go unused.  Checks nothing: the fold has accepted x
+    (its length, and a NaN/Inf sample through its column sum) and
+    direction and mode are members.
     """
     if (blocks := plan.__dict__.get("_oracle_blocks")) is None:
         blocks = _twiddles(plan.n, plan.l)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -341,6 +342,18 @@ def test_compress_raw_format(tmp_path):
     assert run("compress", "--in", src, "--out", dst, "--n", 8, "--c", 4,
                "--in-format", "raw-f64", "--out-format", "raw-f64") == 0
     assert np.array_equal(read_signal(dst, "raw-f64"), GOLDEN_FOLD)
+
+
+def test_raw_non_finite_sample_is_a_parse_error(tmp_path):
+    # a NaN in a raw-f64 file is an I/O or parse error (3), found before the
+    # file's length is compared with --n, so a wrong --n exits 3 too, not 2
+    x = GOLDEN_X.copy()
+    x[2] = complex(1.0, math.nan)
+    src = tmp_path / "x.raw"
+    x.astype("<c16").tofile(src)
+    for n in (8, 16):
+        assert run("dft", "--in", src, "--in-format", "raw-f64", "--out", tmp_path / "s.csv",
+                   "--n", n, "--c", 4) == 3, n
 
 
 def test_usage_error_exit_code():

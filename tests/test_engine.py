@@ -89,10 +89,11 @@ def test_direct_rows_are_independent_of_the_row_set(m, direction):
     # the rows k = s*q at every step s that divides m get the bits the whole
     # transform gives them, so the oracle's rows are dft_direct's rows; at
     # m = 24,000 and step 24 the rows visit their residues mod M = 160 out of
-    # order (g = 8, P = 20, step/g = 3) and read G in three runs of places,
-    # and step 1 takes a product deeper than a threaded BLAS keeps in one
-    # pass; m = 2**16 (B = 256) sums G over two depth slices of F, and step
-    # 1 forms Y in eight chunks of 32 residues
+    # order (g = 8, P = 20, step/g = 3), each chunk's rows read from its G in
+    # one gather at the closed-form flat index ``at``, and step 1 takes a
+    # product deeper than a threaded BLAS keeps in one pass; m = 2**16
+    # (B = 256) sums G over two depth slices of F, and step 1 forms Y in
+    # eight chunks of 32 residues
     rng = np.random.default_rng(m)
     x = random_complex(rng, m)
     full = _rows(x, 1, direction)
@@ -125,9 +126,9 @@ def test_direct_rows_error_against_npfft_at_2_18(c):
 
 
 def test_direct_rows_block_memory():
-    # blocks of three 128 KB matrices: at most 4 MiB, plus one n-point copy of x
-    # when isqrt(n) does not divide n and x is padded; the table and F are
-    # built first, and no direction copies either (16 MiB each at n = 2**20)
+    # blocks of three 128 KB matrices: at most 4 MiB, x never copied or padded;
+    # the table and F are built first, and no direction copies either (16 MiB
+    # each at n = 2**20)
     cases = ((4096, 512), (24000, 3000), (24000, 1000), (1 << 18, 4096), (1 << 20, 1024))
     for (n, c), direction in itertools.product(cases, (F, I)):
         x = random_complex(np.random.default_rng(7), n)
@@ -138,7 +139,7 @@ def test_direct_rows_block_memory():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (4 << 20) + (x.nbytes if n % math.isqrt(n) else 0), (n, c, direction, peak)
+        assert peak < 4 << 20, (n, c, direction, peak)
 
 
 def test_direct_rows_block_memory_at_a_poor_split():
@@ -159,9 +160,10 @@ def test_direct_rows_block_memory_at_a_poor_split():
 
 def test_direct_rows_hold_each_output_once():
     # n = 2**18, c = 2**17: the c outputs (2 MiB) are written once, into their
-    # own buffer, each chunk's rows through strided views of its G, and Y, Z
-    # and G exist a chunk of 16 residues at a time (4 MiB for all 256), with
-    # no c-point index array (a second copy of the outputs would pass 6 MiB)
+    # own buffer, each chunk's rows in one gather from its G at the flat
+    # index ``at``, and Y, Z, G and ``at`` exist a chunk of 16 residues at a
+    # time (4 MiB for all 256), with no c-point index array (a second copy of
+    # the outputs would pass 6 MiB)
     n = 1 << 18
     x = random_complex(np.random.default_rng(9), n)
     _build(n)

@@ -1,5 +1,7 @@
+import importlib
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -69,6 +71,15 @@ def test_fold_spectrum_same_kernel():
     np.testing.assert_allclose(
         fold_spectrum(spectrum, plan).samples, naive_fold(spectrum, 8, 4), rtol=0, atol=1e-12
     )
+
+
+def test_fold_module_is_reached_through_import_module():
+    # the package binds ricdft.fold to the function, so `import ricdft.fold as m`
+    # gives the function; import_module gives the module that defines it
+    module = importlib.import_module("ricdft.fold")
+    assert isinstance(module, types.ModuleType)
+    assert module.fold is fold and module.fold_spectrum is fold
+    assert callable(module._fold)
 
 
 def test_fold_spectrum_constant():

@@ -87,6 +87,18 @@ def test_read_raw_truncated_and_empty(tmp_path):
         read_signal(path, "raw-f64")
 
 
+@pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.inf), complex(-math.inf, 1)],
+                         ids=["nan-re", "inf-im", "neg-inf-re"])
+def test_read_raw_rejects_non_finite_samples(tmp_path, bad):
+    # NaN or +-Inf in either part of any sample fails the file, not a later step
+    x = GOLDEN_X.copy()
+    x[5] = bad
+    path = tmp_path / "x.raw"
+    x.astype("<c16").tofile(path)
+    with pytest.raises(SignalFileError, match="non-finite sample$"):
+        read_signal(path, "raw-f64")
+
+
 def test_raw_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(51)
     x = random_complex(rng, 64)
