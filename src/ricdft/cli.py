@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import Direction, NormalizationMode, OutOfRangeError, RicdftError, RicPlan, _size, _tolerance
 from .engine import op_counts
-from .fold import fold
+from .fold import _fold_counts, fold
 from .io import (_SPECTRUM_FORMATS, SignalFileError, SignalFormat, read_signal, synthesize_tones,
                  write_signal, write_spectrum)
 from .planner import InfeasibleError, plan_for_frequencies
@@ -38,7 +38,7 @@ def cmd_compress(args) -> int:
     plan = RicPlan(args.n, args.c)
     x = read_signal(args.infile, args.in_format)
     write_signal(fold(x, plan).samples, args.outfile, args.out_format)
-    print(f"folded {plan.n} -> {plan.c} samples (complex_adds={plan.c * (plan.l - 1)})")
+    print(f"folded {plan.n} -> {plan.c} samples (complex_adds={_fold_counts(plan)[0]})")
     return 0
 
 

@@ -196,23 +196,19 @@ def correction_factor(mode: NormalizationMode, direction: Direction, plan: RicPl
 # Operation counting
 # ---------------------------------------------------------------------------
 
+@dataclass(slots=True)
 class OpCounter:
-    """Tally of complex additions and multiplications.
+    """Tally of complex additions and multiplications; one per computation, counts only grow."""
 
-    One instance per computation; counts only grow.
-    """
+    complex_adds: int = 0
+    complex_mults: int = 0
 
-    __slots__ = ("complex_adds", "complex_mults")
 
-    def __init__(self):
-        self.complex_adds = 0
-        self.complex_mults = 0
-
-    def add(self, n: int = 1):
-        self.complex_adds += n
-
-    def mul(self, n: int = 1):
-        self.complex_mults += n
+def _tally(counter: OpCounter | None, counts: tuple[int, int]) -> None:
+    """Add ``counts``, (complex_adds, complex_mults), to ``counter`` when one is given."""
+    if counter is not None:
+        counter.complex_adds += counts[0]
+        counter.complex_mults += counts[1]
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .core import (Direction, NormalizationMode, OpCounter, _member, _scale, as_complex_sequence,
-                   is_power_of_two)
+from .core import (Direction, NormalizationMode, OpCounter, _member, _scale, _tally,
+                   as_complex_sequence, is_power_of_two)
 
 # Twiddle tables and DFT matrices kept at once: a verify reads one of each, a
 # second serves a caller alternating two lengths.  Each costs O(m) to build.
@@ -73,6 +73,11 @@ def op_counts(m: int) -> tuple[int, int]:
     if is_power_of_two(m):
         stages = m.bit_length() - 1
         return m * stages, (m // 2) * stages
+    return _direct_counts(m)
+
+
+def _direct_counts(m: int) -> tuple[int, int]:
+    """(complex_adds, complex_mults) of the definition at length m, by :func:`op_counts`' convention."""
     return m * (m - 1), m * m
 
 
@@ -87,15 +92,13 @@ def dft_direct(
     output[k] = scale * sum over n of x[n] * W_M**(-+ k*n), with the sign
     chosen by ``direction`` and the scale by ``mode``.  Valid for any
     length; this is the reference the fast paths are checked against, by
-    the module's row kernel at step 1.  ``counter`` tallies the definition
-    (:func:`op_counts`).  ``direction`` and ``mode`` take a member or its
-    string value.
+    the module's row kernel at step 1.  ``counter`` tallies the definition's
+    count, ``_direct_counts``, at every length, a power of two included.
+    ``direction`` and ``mode`` take a member or its string value.
     """
     x = as_complex_sequence(x)
     direction, mode, m = _member(Direction, direction), _member(NormalizationMode, mode), len(x)
-    if counter is not None:
-        counter.mul(m * m)
-        counter.add(m * (m - 1))
+    _tally(counter, _direct_counts(m))
     return _scaled(_direct_rows(x, direction, _twiddles(m, 1)), direction, mode, m)
 
 
@@ -184,10 +187,7 @@ def transform(
     """
     x = as_complex_sequence(x)
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
-    if counter is not None:
-        adds, mults = op_counts(len(x))
-        counter.add(adds)
-        counter.mul(mults)
+    _tally(counter, op_counts(len(x)))
     return _scaled(_fft(x, direction), direction, mode, len(x))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LengthMismatchError, OpCounter, RicPlan, _complex_array, _finite
+from .core import LengthMismatchError, OpCounter, RicPlan, _complex_array, _finite, _tally
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,13 @@ def fold(x, plan: RicPlan, counter: OpCounter | None = None) -> FoldedSequence:
     verifier call on the array they converted themselves.
     """
     out = _fold(_complex_array(x), plan)
-    if counter is not None:
-        counter.add(plan.c * (plan.l - 1))
+    _tally(counter, _fold_counts(plan))
     return FoldedSequence(samples=out, plan=plan)
+
+
+def _fold_counts(plan: RicPlan) -> tuple[int, int]:
+    """(complex_adds, complex_mults) of the fold: c*(l-1) additions, no multiplication."""
+    return plan.c * (plan.l - 1), 0
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a decorator state is entered afresh per call, per thread

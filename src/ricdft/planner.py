@@ -101,8 +101,7 @@ def plan_for_frequencies(
             raise OutOfRangeError(f"target {t} Hz outside (0, {sample_rate / 2}) Hz")
     max_n = _size("max_n", max_n, 4)
 
-    best_err = float("inf")
-    best_plan: RicPlan | None = None
+    best_err = float("inf")  # every rel_error is finite and c = 2 is a candidate: a best plan exists
     for c in _candidate_cs(max_n, power_of_two_only):
         plan = RicPlan(2 * c, c)
         assignments = tuple(_assign(t, plan, sample_rate) for t in targets)
@@ -111,11 +110,9 @@ def plan_for_frequencies(
             return PlanProposal(plan, sample_rate, sample_rate / plan.n, assignments)
         if worst < best_err:
             best_err, best_plan = worst, plan
-    detail = ""
-    if best_plan is not None:
-        detail = f"; best achievable rel_error={best_err:.6g} at n={best_plan.n}, c={best_plan.c}"
     raise InfeasibleError(
-        f"no plan with n <= {max_n} hits all targets within tol={tol}{detail}",
+        f"no plan with n <= {max_n} hits all targets within tol={tol}; "
+        f"best achievable rel_error={best_err:.6g} at n={best_plan.n}, c={best_plan.c}",
         best_rel_error=best_err,
         best_plan=best_plan,
     )

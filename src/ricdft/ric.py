@@ -24,7 +24,7 @@ import numpy as np
 from .core import (Direction, LengthMismatchError, NormalizationMode, RicPlan, _complex_array,
                    _member, _tolerance)
 from .engine import _direct_rows, _fft, _scaled, _twiddles, op_counts
-from .fold import _fold
+from .fold import _fold, _fold_counts
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,11 @@ def ric_index_set(plan: RicPlan) -> np.ndarray:
 def ric_op_counts(plan: RicPlan) -> tuple[int, int]:
     """(complex_adds, complex_mults) of ric_dft or ric_idft under ``plan``.
 
-    The fold's c*(l-1) additions plus :func:`ricdft.engine.op_counts` of
-    the c-point transform; the scale at length n is not counted.
+    The fold's count plus :func:`ricdft.engine.op_counts` of the c-point
+    transform; the scale at length n is not counted.
     """
-    adds, mults = op_counts(plan.c)
-    return plan.c * (plan.l - 1) + adds, mults
+    (fold_adds, fold_mults), (adds, mults) = _fold_counts(plan), op_counts(plan.c)
+    return fold_adds + adds, fold_mults + mults
 
 
 def _ric(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> RicSpectrum:

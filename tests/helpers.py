@@ -10,7 +10,7 @@ import cmath
 
 import numpy as np
 
-from ricdft.core import Direction, NormalizationMode, _member, as_complex_sequence, is_power_of_two
+from ricdft.core import Direction, NormalizationMode, _member, _tally, as_complex_sequence, is_power_of_two
 from ricdft.engine import _scaled
 
 # The worked 8-point example used across modules and its hand-checked results.
@@ -118,9 +118,7 @@ def fft_radix2(x, direction=Direction.FORWARD, mode=NormalizationMode.NONE, coun
         even = y[:, :half]
         odd = y[:, half:] * table[::half][:rows, None]
         y = np.concatenate([even + odd, even - odd])
-        if counter is not None:
-            counter.mul(m // 2)
-            counter.add(m)
+        _tally(counter, (m, m // 2))
     y = y.reshape(m)
     if m == 1:
         y = y.copy()  # no stage ran, so y is still a view of x

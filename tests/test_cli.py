@@ -237,6 +237,15 @@ def test_rendered_bytes(tmp_path, capsys):
         assert out.read_bytes() == want.encode()
 
 
+def test_compress_message(tmp_path, capsys):
+    # the fold's c*(l-1) additions, at an even and an odd depth l
+    for n, c, adds in ((8, 4, 4), (24, 8, 16)):
+        src = tmp_path / f"x{n}.csv"
+        write_signal(np.arange(n, dtype=complex), src)
+        assert run("compress", "--in", src, "--out", tmp_path / "o.csv", "--n", n, "--c", c) == 0
+        assert capsys.readouterr().out == f"folded {n} -> {c} samples (complex_adds={adds})\n"
+
+
 def test_plan_empty_targets_usage_error():
     assert run("plan", "--sample-rate", 800, "--targets", "", "--max-n", 64) == 2
 

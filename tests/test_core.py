@@ -18,6 +18,8 @@ from ricdft import (
     make_plan,
 )
 
+from ricdft.core import _tally
+
 from helpers import divisor_pairs, naive_fold
 
 
@@ -149,7 +151,10 @@ def test_correction_factors():
 
 def test_op_counter():
     ctr = OpCounter()
-    ctr.add(4)
-    ctr.mul()
-    ctr.mul(2)
-    assert (ctr.complex_adds, ctr.complex_mults) == (4, 3)
+    assert (ctr.complex_adds, ctr.complex_mults) == (0, 0)
+    assert repr(ctr) == "OpCounter(complex_adds=0, complex_mults=0)"
+    _tally(None, (4, 3))  # no counter, nothing written
+    _tally(ctr, (4, 0))
+    _tally(ctr, (1, 3))
+    assert ctr == OpCounter(complex_adds=5, complex_mults=3)
+    assert repr(ctr) == "OpCounter(complex_adds=5, complex_mults=3)"

@@ -6,6 +6,7 @@ import pytest
 from ricdft import (
     InfeasibleError,
     OutOfRangeError,
+    RicPlan,
     coverage_report,
     plan_for_frequencies,
 )
@@ -39,6 +40,12 @@ def test_infeasible_reports_best():
     assert err.best_rel_error > 0.0
     assert err.best_plan is not None
     assert "best achievable" in str(err)
+    # at the smallest max_n, c = 2 is the only candidate in either mode
+    for power_of_two_only in (True, False):
+        with pytest.raises(InfeasibleError) as excinfo:
+            plan_for_frequencies(1000.0, [100.0 * math.sqrt(2)], 4, power_of_two_only, tol=0.0)
+        assert excinfo.value.best_plan == RicPlan(4, 2)
+        assert "best achievable" in str(excinfo.value)
 
 
 def test_tolerance_relaxation():
