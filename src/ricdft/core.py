@@ -107,6 +107,9 @@ class RicPlan:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
 
+    def __getstate__(self):  # a copy rebuilds, read-only, what ricdft.ric keeps on the plan
+        return {"n": self.n, "c": self.c}
+
     @property
     def l(self) -> int:
         return self.n // self.c

@@ -16,6 +16,8 @@ import numpy as np
 
 from .core import LengthMismatchError, OpCounter, RicPlan, _complex_array, _finite, _tally
 
+_WIDE = 1 << 14  # values (256 KiB) from which a row is added alone: the crossover timed cold
+
 
 @dataclass(frozen=True)
 class FoldedSequence:
@@ -48,15 +50,22 @@ def _fold(x: np.ndarray, plan: RicPlan) -> np.ndarray:
 
     Halves l and doubles the width w (first c) while l is even and l > w,
     sums the l' x w columns, then folds those w sums to c when w > c: a
-    fixed order, not by ascending row.  NaN/Inf (or overflow) is sought in
-    the c sums one by one only when their total is not finite.
+    fixed order, not by ascending row.  Rows of ``_WIDE`` values or more are added one
+    at a time in row order: one reduce's bits, without its pass copying row 0.  NaN/Inf
+    (or overflow) is sought in the c sums only when their total is not finite.
     """
     if len(x) != plan.n:
         raise LengthMismatchError(f"sequence has {len(x)} samples, plan expects {plan.n}")
     l, w = plan.l, plan.c
     while l % 2 == 0 and l > w:
         l, w = l // 2, w * 2
-    out = np.add.reduce(x.reshape(l, w), axis=0)
+    rows = x.reshape(l, w)
+    if w < _WIDE:
+        out = np.add.reduce(rows, axis=0)
+    else:
+        out = np.add(rows[0], rows[1])
+        for row in rows[2:]:
+            np.add(out, row, out=out)
     if w > plan.c:
         out = np.add.reduce(out.reshape(w // plan.c, plan.c), axis=0)
     if not cmath.isfinite(np.add.reduce(out)):  # any sum not finite, or finite sums overflowing

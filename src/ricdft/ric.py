@@ -29,7 +29,7 @@ from .fold import _fold, _fold_counts
 
 @dataclass(frozen=True)
 class RicSpectrum:
-    """c transform values tagged with their original n-point indices k*L."""
+    """c transform values at their n-point indices k*L, the plan's :func:`ric_index_set`."""
 
     indices: np.ndarray
     values: np.ndarray
@@ -44,8 +44,11 @@ class RicSpectrum:
 
 
 def ric_index_set(plan: RicPlan) -> np.ndarray:
-    """The retained n-point indices {0, L, 2L, ..., (C-1)L}."""
-    return np.arange(plan.c, dtype=np.int64) * plan.l
+    """Indices {0, L, ..., (C-1)L}: read-only int64, built once per plan and kept on it (8c bytes)."""
+    if (indices := plan.__dict__.get("_indices")) is None:
+        indices = plan.__dict__["_indices"] = np.arange(0, plan.n, plan.l, dtype=np.int64)
+        indices.flags.writeable = False
+    return indices
 
 
 def ric_op_counts(plan: RicPlan) -> tuple[int, int]:
@@ -66,7 +69,7 @@ def _ric(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> Ric
     value; the spectrum records the member.
     """
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
-    indices = ric_index_set(plan)  # first, so its temporary is freed before the sums exist
+    indices = ric_index_set(plan)
     return RicSpectrum(indices, _values(_complex_array(x), plan, direction, mode), plan, mode, direction)
 
 

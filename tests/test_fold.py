@@ -125,6 +125,23 @@ def test_fold_without_widening_is_one_column_sum():
                 assert fold(x, make_plan(n, c)).samples.tobytes() == want.tobytes(), (n, c)
 
 
+@pytest.mark.parametrize("n", [2 ** 16, 3 * 2 ** 15, 2 ** 18])
+def test_fold_of_wide_rows_is_one_column_sum(n):
+    # rows of _WIDE values or more are added one at a time in row order, not
+    # by one reduce: the same additions in the same order, so the same bytes,
+    # for contiguous and strided input alike
+    wide = importlib.import_module("ricdft.fold")._WIDE
+    rng = np.random.default_rng(n)
+    for l in (2, 3, 4, 8, 16):
+        if n % l:
+            continue
+        c = n // l
+        assert c >= wide or n < 2 ** 18  # every n = 2**18 plan takes the wide path
+        for x in (random_complex(rng, n), random_complex(rng, 2 * n)[::2]):
+            want = np.add.reduce(x.reshape(l, c), axis=0)
+            assert fold(x, make_plan(n, c)).samples.tobytes() == want.tobytes(), (n, l, x.strides)
+
+
 def test_fold_count_exactness_every_plan():
     rng = np.random.default_rng(15)
     for n in (8, 16, 24, 36, 64, 128):
@@ -206,6 +223,22 @@ def test_fold_total_check_rejects_what_the_full_check_rejected(n):
             with pytest.raises(SequenceError) as err:
                 fold(x, plan)
             assert str(err.value) == NON_FINITE, (c, big, part, col)
+
+
+def test_fold_of_wide_rows_rejects_what_one_reduce_rejected():
+    # at a plan whose rows are added one at a time: a NaN past the first add
+    # and a column that overflows raise the one message, by any entry point
+    n, c = 2 ** 16, 2 ** 14
+    assert c >= importlib.import_module("ricdft.fold")._WIDE
+    plan = make_plan(n, c)
+    nan, big = np.ones(n, dtype=np.complex128), np.zeros(n, dtype=np.complex128)
+    nan[3 * c + 7] = math.nan  # row 3
+    big.real[[5, 5 + c]] = 1e308  # column 5
+    for x in (nan, big):
+        for fn in (fold, ric_dft, ric_idft, verify_against_oracle):
+            with pytest.raises(SequenceError) as err:
+                fn(x, plan)
+            assert str(err.value) == NON_FINITE, (fn, x[5])
 
 
 def test_fold_finite_sums_whose_total_overflows_pass():
