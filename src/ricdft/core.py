@@ -66,6 +66,10 @@ class NormalizationMode(str, Enum):
     UNITARY = "unitary"
 
 
+# The members, for hot paths: reading Direction.FORWARD goes through EnumType's __getattr__ hook
+(_FORWARD, _INVERSE), (_NONE, _RECIPROCAL_N, _UNITARY) = Direction, NormalizationMode
+
+
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -175,9 +179,9 @@ def _scale(mode: NormalizationMode, direction: Direction, m: int) -> float:
     1/sqrt(m) in both directions for UNITARY, 1/m on the inverse only for
     RECIPROCAL_N, 1 otherwise.
     """
-    if mode is NormalizationMode.UNITARY:
+    if mode is _UNITARY:
         return 1.0 / math.sqrt(m)
-    if mode is NormalizationMode.RECIPROCAL_N and direction is Direction.INVERSE:
+    if mode is _RECIPROCAL_N and direction is _INVERSE:
         return 1.0 / m
     return 1.0
 

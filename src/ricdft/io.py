@@ -153,7 +153,8 @@ def write_spectrum(spectrum, path, fmt="csv"):
     if kind not in _SPECTRUM_FORMATS:
         raise OutOfRangeError(f"unknown spectrum format {_shown(fmt)}")
     fields = ("k", "index", "re", "im")
-    rows = [(k, idx, float(z.real), float(z.imag)) for k, (idx, z) in enumerate(spectrum.entries)]
+    z = spectrum.values
+    rows = list(zip(range(z.size), spectrum.indices.tolist(), z.real.tolist(), z.imag.tolist()))
     if kind == "csv":
         with open(path, "w", newline="") as fh:
             fh.write(",".join(fields) + "\n")
@@ -165,8 +166,7 @@ def write_spectrum(spectrum, path, fmt="csv"):
             "entries": [dict(zip(fields, row)) for row in rows],
         }
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(doc, indent=2) + "\n")  # one write: json.dump writes each token
 
 
 def synthesize_tones(n: int, tones) -> np.ndarray:

@@ -50,19 +50,20 @@ class InfeasibleError(RicdftError):
         self.best_plan = best_plan
 
 
+def _nearest(target: float, t_ratio, fs_ratio, c: int) -> tuple[int, float, float]:
+    """(k, achieved, rel_error) of the bin k*fs/c nearest target, from the exact ratios of both."""
+    (t_num, t_den), (num, den) = t_ratio, fs_ratio
+    lo = min((t_num * den * c) // (t_den * num), c - 1)
+    hi = min(lo + 1, c - 1)
+    at_lo, at_hi = (lo * num) / (den * c), (hi * num) / (den * c)  # k*fs/c; int/int division rounds once
+    k, hz = (hi, at_hi) if abs(at_hi - target) < abs(at_lo - target) else (lo, at_lo)
+    return k, hz, 0.0 if target == 0 else abs(hz - target) / target
+
+
 def _assign(target: float, plan: RicPlan, sample_rate: float) -> Assignment:
     """Map target onto the nearest retained bin; ties go to the lower bin."""
-    num, den = float(sample_rate).as_integer_ratio()  # fs = num/den
-    t_num, t_den = target.as_integer_ratio()
-
-    def achieved(k: int) -> float:
-        return (k * num) / (den * plan.c)  # k*fs/c; int/int division rounds once
-
-    lo = min((t_num * den * plan.c) // (t_den * num), plan.c - 1)
-    hi = min(lo + 1, plan.c - 1)
-    k = hi if abs(achieved(hi) - target) < abs(achieved(lo) - target) else lo
-    hz = achieved(k)
-    rel = 0.0 if target == 0 else abs(hz - target) / target
+    fs_ratio = float(sample_rate).as_integer_ratio()
+    k, hz, rel = _nearest(target, target.as_integer_ratio(), fs_ratio, plan.c)
     return Assignment(target=target, k=k, bin_index=k * plan.l, achieved=hz, rel_error=rel)
 
 
@@ -87,7 +88,8 @@ def plan_for_frequencies(
     is a finite non-negative number, sample_rate a finite positive one,
     each target inside (0, sample_rate/2) and max_n an integer size.  Raises
     :class:`InfeasibleError` with the best achievable error when nothing
-    fits.  The scan is linear in max_n when ``power_of_two_only`` is off.
+    fits.  The scan is linear in max_n when ``power_of_two_only`` is off;
+    it scores each c in integers and builds a plan only for the one it returns.
     """
     targets = [_real("target", t) for t in targets]
     tol = _tolerance(tol)
@@ -101,20 +103,21 @@ def plan_for_frequencies(
             raise OutOfRangeError(f"target {t} Hz outside (0, {sample_rate / 2}) Hz")
     max_n = _size("max_n", max_n, 4)
 
+    ratios, fs_ratio = [(t, t.as_integer_ratio()) for t in targets], sample_rate.as_integer_ratio()
     best_err = float("inf")  # every rel_error is finite and c = 2 is a candidate: a best plan exists
     for c in _candidate_cs(max_n, power_of_two_only):
-        plan = RicPlan(2 * c, c)
-        assignments = tuple(_assign(t, plan, sample_rate) for t in targets)
-        worst = max(a.rel_error for a in assignments)
+        worst = max(_nearest(t, ratio, fs_ratio, c)[2] for t, ratio in ratios)
         if worst <= tol:
-            return PlanProposal(plan, sample_rate, sample_rate / plan.n, assignments)
+            plan = RicPlan(2 * c, c)
+            return PlanProposal(plan, sample_rate, sample_rate / plan.n,
+                                tuple(_assign(t, plan, sample_rate) for t in targets))
         if worst < best_err:
-            best_err, best_plan = worst, plan
+            best_err, best_c = worst, c
     raise InfeasibleError(
         f"no plan with n <= {max_n} hits all targets within tol={tol}; "
-        f"best achievable rel_error={best_err:.6g} at n={best_plan.n}, c={best_plan.c}",
+        f"best achievable rel_error={best_err:.6g} at n={2 * best_c}, c={best_c}",
         best_rel_error=best_err,
-        best_plan=best_plan,
+        best_plan=RicPlan(2 * best_c, best_c),
     )
 
 

@@ -10,7 +10,8 @@ import cmath
 
 import numpy as np
 
-from ricdft.core import Direction, NormalizationMode, _member, _tally, as_complex_sequence, is_power_of_two
+from ricdft.core import (Direction, NormalizationMode, RicPlan, _member, _tally, as_complex_sequence,
+                         is_power_of_two)
 from ricdft.engine import _scaled
 
 # The worked 8-point example used across modules and its hand-checked results.
@@ -53,6 +54,14 @@ def naive_fold(x, n, c):
 def divisor_pairs(n):
     """All valid (c, l) factorizations with 2 <= c <= n/2."""
     return [(c, n // c) for c in range(2, n // 2 + 1) if n % c == 0]
+
+
+def random_case(case):
+    """A generator seeded by ``case``, a plan with c in [2, 60] and l in [2, 40], and an input."""
+    rng = np.random.default_rng(case)
+    c, l = int(rng.integers(2, 61)), int(rng.integers(2, 41))
+    plan = RicPlan(c * l, c)
+    return rng, plan, random_complex(rng, plan.n)
 
 
 def random_complex(rng, n, integer=False):

@@ -8,11 +8,11 @@ signal, then slicing [::l], is the independent reference.
 import numpy as np
 import pytest
 
-from ricdft import (Direction, NormalizationMode, compare_values, dft_direct, fold, make_plan, ric_dft,
-                    ric_idft, verify_against_oracle)
+from ricdft import (Direction, NormalizationMode, compare_values, dft_direct, fold, ric_dft, ric_idft,
+                    verify_against_oracle)
 from ricdft import ric
 
-from helpers import random_complex
+from helpers import random_case, random_complex
 
 CASES = range(60)
 
@@ -25,14 +25,6 @@ NPFFT_NORM = {
     (Direction.INVERSE, NormalizationMode.RECIPROCAL_N): "backward",
     (Direction.INVERSE, NormalizationMode.UNITARY): "ortho",
 }
-
-
-def random_case(case):
-    """A seeded generator, a plan with c in [2, 60] and l in [2, 40], and an input."""
-    rng = np.random.default_rng(case)
-    c, l = int(rng.integers(2, 61)), int(rng.integers(2, 41))
-    plan = make_plan(c * l, c)
-    return rng, plan, random_complex(rng, plan.n)
 
 
 def test_cases_cover_non_power_of_two_plans():
