@@ -66,10 +66,6 @@ class NormalizationMode(str, Enum):
     UNITARY = "unitary"
 
 
-# The members, for hot paths: reading Direction.FORWARD goes through EnumType's __getattr__ hook
-(_FORWARD, _INVERSE), (_NONE, _RECIPROCAL_N, _UNITARY) = Direction, NormalizationMode
-
-
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -179,9 +175,9 @@ def _scale(mode: NormalizationMode, direction: Direction, m: int) -> float:
     1/sqrt(m) in both directions for UNITARY, 1/m on the inverse only for
     RECIPROCAL_N, 1 otherwise.
     """
-    if mode is _UNITARY:
+    if mode is NormalizationMode.UNITARY:
         return 1.0 / math.sqrt(m)
-    if mode is _RECIPROCAL_N and direction is _INVERSE:
+    if mode is NormalizationMode.RECIPROCAL_N and direction is Direction.INVERSE:
         return 1.0 / m
     return 1.0
 

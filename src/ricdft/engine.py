@@ -15,8 +15,8 @@ same table, in place of its inner FFTs, and forms only the P residues k
 mod M of its rows, as output-pruned DFTs do (Sorensen & Burrus, 1993):
 m*P + P*B*B products, not m*c.  ``_direct_rows`` states its stages and
 when a row's bits repeat, ``_twiddles`` its layout and keep size, and
-:func:`op_counts` the counting convention.  Every path scales once, by
-``core._scale``'s factor.
+:func:`op_counts` the counting convention.  Every path scales once, in
+``_scaled``.
 """
 
 import collections
@@ -25,7 +25,13 @@ import math
 
 import numpy as np
 
-from .core import (_FORWARD, _INVERSE, Direction, NormalizationMode, OpCounter, _member, _scale, _tally,
+try:  # the ufuncs np.fft.fft and np.fft.ifft end in (numpy >= 2.0)
+    from numpy.fft._pocketfft_umath import fft as _pocket_fft, ifft as _pocket_ifft
+except ImportError:  # a numpy that moved them: the wrappers, unscaled ("forward" leaves the inverse so)
+    _pocket_fft = lambda x, fct, axes, out: np.fft.fft(x, out=out)
+    _pocket_ifft = lambda x, fct, axes, out: np.fft.ifft(x, norm="forward", out=out)
+
+from .core import (Direction, NormalizationMode, OpCounter, _member, _scale, _tally,
                    as_complex_sequence, is_power_of_two)
 
 # Twiddle tables and DFT matrices kept at once: a verify reads one of each, a
@@ -105,12 +111,11 @@ def dft_direct(
 _RowBlocks = collections.namedtuple("_RowBlocks", "b rows values reusable chunks")
 
 
-def _direct_rows(x: np.ndarray, direction: Direction, blocks: _RowBlocks, out=None) -> np.ndarray:
+def _direct_rows(x: np.ndarray, direction: Direction, blocks: _RowBlocks) -> np.ndarray:
     """Unscaled sums over j of x[j] * W_m**(-+ k*j) at the rows k = step*q that ``blocks`` serves.
 
     ``blocks`` is what ``_twiddles(m, step)`` returned, kept or fresh, for a
-    validated length-m x; the c sums go into ``out``, contiguous, or a fresh
-    array.  With m = B*M, j = j1 + B*j2 and k = r + M*t, row k
+    validated length-m x.  With m = B*M, j = j1 + B*j2 and k = r + M*t, row k
     is G[k mod M, t] of Y = T*X (Y[r, j1] = sum over j2 of W_M**(r*j2) *
     x[j1 + B*j2]), Z = w*Y (w[r, j1] = W_m**(r*j1)) and G = Z*F, read at ``at``.
     A row gets the same bits at any step: Y and G are BLAS products of depth
@@ -118,9 +123,9 @@ def _direct_rows(x: np.ndarray, direction: Direction, blocks: _RowBlocks, out=No
     rounds differently) summed in depth order, G's over all B columns of F.
     The inverse reads the forward twiddles: conj(T)*X, conj(G of w*conj(Y)).
     """
-    xt, inverse = x.reshape(-1, blocks.b), direction is _INVERSE  # xt[j2, j1] = x[j1 + B*j2]
-    f, p0 = _dft_matrix(x.size, blocks.b), 0  # out[i, p] holds row P*i + p
-    out = np.empty(blocks.rows, complex) if out is None else out.reshape(blocks.rows)
+    xt, inverse = x.reshape(-1, blocks.b), direction is Direction.INVERSE  # xt[j2, j1] = x[j1 + B*j2]
+    f, out = _dft_matrix(x.size, blocks.b), np.empty(blocks.rows, complex)  # row P*i + p at out[i, p]
+    p0 = 0
     for ts, w, at in blocks.chunks:  # one chunk of Y's rows, one gathered depth slice alive at a time
         y = g = None
         for d, t in ts:  # each sum goes into its first product
@@ -193,14 +198,16 @@ def transform(
 
 
 def _fft(x: np.ndarray, direction: Direction, out: np.ndarray | None = None) -> np.ndarray:
-    """Unscaled ``np.fft`` of a checked sequence, into ``out`` (the pipeline's own c sums)."""
-    if direction is _FORWARD:
-        return np.fft.fft(x, out=out)
-    return np.fft.ifft(x, norm="forward", out=out)  # "forward" leaves the inverse unscaled
+    """Unscaled ``np.fft`` of a checked sequence into ``out`` (the pipeline's own c sums) or a fresh
+    array, by the pocketfft ufunc np.fft calls: its bits, without its wrapper's argument handling.
+    """
+    fft = _pocket_fft if direction is Direction.FORWARD else _pocket_ifft
+    return fft(x, 1, axes=[(0,), (), (0,)], out=np.empty(len(x), complex) if out is None else out)
 
 
 def _scaled(y: np.ndarray, direction: Direction, mode: NormalizationMode, m: int) -> np.ndarray:
     """y, an array the caller owns, scaled in place by the mode's factor at length m."""
-    if (s := _scale(mode, direction, m)) != 1.0:
+    s = _scale(mode, direction, m)
+    if s != 1.0:
         y *= s
     return y

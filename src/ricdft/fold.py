@@ -44,39 +44,33 @@ def _fold_counts(plan: RicPlan) -> tuple[int, int]:
     return plan.c * (plan.l - 1), 0
 
 
-def _fold_shape(plan: RicPlan) -> tuple[int, int, int]:
-    """(l', w, w/c), kept on plan: l halves and w (first c) doubles while l is even and l > w."""
-    l, w = plan.l, plan.c
-    while l % 2 == 0 and l > w:
-        l, w = l // 2, w * 2
-    plan.__dict__["_fold_shape"] = shape = l, w, w // plan.c
-    return shape
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a decorator state is entered afresh per call, per thread
-def _fold(x: np.ndarray, plan: RicPlan, out: np.ndarray | None = None) -> np.ndarray:
-    """The c column sums of a converted x, in ``out`` or a fresh array; its length and the sums checked.
+def _fold(x: np.ndarray, plan: RicPlan) -> np.ndarray:
+    """The c column sums of a converted x, in a fresh array; its length and the sums checked.
 
-    Sums the l' x w columns of :func:`_fold_shape`, then folds those w sums to c when w > c:
-    a fixed order, not by ascending row.  Rows of ``_WIDE`` values or more are added one at a
-    time in row order: one reduce's bits, without its pass copying row 0.  NaN/Inf (or
-    overflow) is sought in the c sums only when their total is not finite.
+    Halves l and doubles the width w (first c) while l is even and l > w,
+    sums the l' x w columns, then folds those w sums to c when w > c: a
+    fixed order, not by ascending row.  Rows of ``_WIDE`` values or more are added one
+    at a time in row order: one reduce's bits, without its pass copying row 0.  NaN/Inf
+    (or overflow) is sought in the c sums only when their total is not finite.
     """
     if len(x) != plan.n:
         raise LengthMismatchError(f"sequence has {len(x)} samples, plan expects {plan.n}")
-    l, w, k = plan.__dict__.get("_fold_shape") or _fold_shape(plan)  # a tuple: never false
-    rows, first = x.reshape(l, w), out if k == 1 else None
+    l, w = plan.l, plan.c
+    while l % 2 == 0 and l > w:
+        l, w = l // 2, w * 2
+    rows = x.reshape(l, w)
     if w < _WIDE:
-        sums = np.add.reduce(rows, axis=0, out=first)
+        out = np.add.reduce(rows, axis=0)
     else:
-        sums = np.add(rows[0], rows[1], out=first)
+        out = np.add(rows[0], rows[1])
         for row in rows[2:]:
-            np.add(sums, row, out=sums)
-    if k > 1:
-        sums = np.add.reduce(sums.reshape(k, plan.c), axis=0, out=out)
-    if not cmath.isfinite(np.add.reduce(sums)):  # any sum not finite, or finite sums overflowing
-        _finite(sums, "sequence, or a column sum overflows")
-    return sums
+            np.add(out, row, out=out)
+    if w > plan.c:
+        out = np.add.reduce(out.reshape(w // plan.c, plan.c), axis=0)
+    if not cmath.isfinite(np.add.reduce(out)):  # any sum not finite, or finite sums overflowing
+        _finite(out, "sequence, or a column sum overflows")
+    return out
 
 
 # The inverse path folds a spectrum with the same kernel.

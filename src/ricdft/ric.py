@@ -1,26 +1,28 @@
 """End-to-end pipeline: fold, one unscaled c-point FFT, one scale at length n.
 
 The forward path computes the n-point DFT values X[k*L] for k = 0..C-1 by
-transforming the c-point fold of the signal, the inverse path the n-point
-IDFT values x[n*L] from a folded spectrum: one pipeline parameterized by
-direction.  The fold's fresh c sums get an unscaled ``np.fft`` in their own
-buffer (``engine.transform`` stays out of place), then one multiply there by
-the mode's factor at length n, as the oracle's rows do.  The unscaled c-point
-DFT of the fold is the unscaled n-point DFT at the retained indices, so
-nothing is scaled at length c (:func:`ricdft.core.correction_factor` relates
-the two lengths' scales).  A call's cost follows from its plan: :func:`ric_op_counts`.
+transforming the c-point fold of the signal; the inverse path computes the
+n-point IDFT values x[n*L] the same way from a folded spectrum; both are
+one pipeline parameterized by direction: fold, an unscaled ``np.fft`` of
+the fold's fresh c sums in their own buffer (``engine.transform`` stays out
+of place), then one multiply there by the mode's factor at length n, as the
+oracle does.  The unscaled c-point DFT of the fold is the unscaled n-point
+DFT at the retained indices, so nothing is scaled at length c
+(:func:`ricdft.core.correction_factor` relates the two lengths' scales).
+The cost of a call follows from its plan alone: :func:`ric_op_counts`.
 
-:func:`verify_against_oracle` re-derives the same coefficients from the definition
-at the c retained rows only, by the row kernel of :mod:`ricdft.engine`, and
-reports the disagreement: the package's ground-truth equivalence check.
+:func:`verify_against_oracle` re-derives the same coefficients from the
+definition at the c retained rows only, by the row kernel of
+:mod:`ricdft.engine`, and reports the disagreement: the package's
+ground-truth equivalence check.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_FORWARD, _INVERSE, _NONE, Direction, LengthMismatchError, NormalizationMode, RicPlan,
-                   _complex_array, _member, _scale, _tolerance)
+from .core import (Direction, LengthMismatchError, NormalizationMode, RicPlan, _complex_array,
+                   _member, _tolerance)
 from .engine import _direct_rows, _fft, _scaled, _twiddles, op_counts
 from .fold import _fold, _fold_counts
 
@@ -60,24 +62,26 @@ def ric_op_counts(plan: RicPlan) -> tuple[int, int]:
 
 
 def _ric(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> RicSpectrum:
-    """Fold, an unscaled c-point FFT in ``direction`` on the fresh sums, then the scale at length n.
+    """Fold, an unscaled c-point FFT in ``direction``, then the scale at length n.
 
     x is converted once; :func:`ricdft.fold._fold` checks its length and
     the c sums.  ``direction`` and ``mode`` take a member or its string
-    value; the spectrum records the member, its fields set without frozen ``__setattr__`` calls.
+    value; the spectrum records the member.
     """
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
-    values = _fft(sums := _fold(_complex_array(x), plan), direction, out=sums)
-    if (s := _scale(mode, direction, plan.n)) != 1.0:
-        values *= s
-    vars(spectrum := object.__new__(RicSpectrum)).update(
-        indices=ric_index_set(plan), values=values, plan=plan, mode=mode, direction=direction)
-    return spectrum
+    indices = ric_index_set(plan)
+    return RicSpectrum(indices, _values(_complex_array(x), plan, direction, mode), plan, mode, direction)
+
+
+def _values(x: np.ndarray, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
+    """The pipeline's c values of a converted x: the fold's fresh sums, transformed and scaled there."""
+    sums = _fold(x, plan)
+    return _scaled(_fft(sums, direction, out=sums), direction, mode, plan.n)
 
 
 def ric_dft(x, plan: RicPlan, mode: NormalizationMode = NormalizationMode.NONE) -> RicSpectrum:
     """Forward path: values equal the full n-point DFT of x at indices k*L."""
-    return _ric(x, plan, _FORWARD, mode)
+    return _ric(x, plan, Direction.FORWARD, mode)
 
 
 def ric_idft(
@@ -88,7 +92,7 @@ def ric_idft(
     The c-point FFT runs unscaled and the result is scaled once by the
     requested 1/n (or 1/sqrt(n)), never by 1/c.
     """
-    return _ric(spectrum, plan, _INVERSE, mode)
+    return _ric(spectrum, plan, Direction.INVERSE, mode)
 
 
 @dataclass(frozen=True)
@@ -112,12 +116,13 @@ def compare_values(got, oracle, tolerance: float = 1e-9) -> VerificationReport:
     got, oracle = _complex_array(got), _complex_array(oracle)
     if got.shape != oracle.shape:
         raise LengthMismatchError(f"got has {got.size} values, the oracle {oracle.size}")
-    return _report(np.stack((got - oracle, oracle)), tolerance)  # out of place: got may be the caller's
+    return _report(got - oracle, oracle, tolerance)  # out of place: got may be the caller's array
 
 
-def _report(buf: np.ndarray, tolerance: float) -> VerificationReport:
-    """The report on got = oracle + ``buf[0]``, ``buf[1]`` the oracle: two checked rows of one buffer."""
-    max_abs, denom = np.abs(buf).max(axis=1).tolist()
+def _report(difference: np.ndarray, oracle: np.ndarray, tolerance: float) -> VerificationReport:
+    """The report on got = oracle + ``difference``, two checked arrays of one shape."""
+    max_abs = float(np.abs(difference).max())
+    denom = float(np.abs(oracle).max())
     max_rel = max_abs / denom if denom > 0.0 else (0.0 if max_abs == 0.0 else float("inf"))
     return VerificationReport(max_abs, max_rel, passed=max_rel <= tolerance, tolerance=tolerance)
 
@@ -131,29 +136,27 @@ def verify_against_oracle(
 ) -> VerificationReport:
     """Compare the folded pipeline with the full n-point direct transform.
 
-    Both paths are evaluated at the retained indices k*L; the relative error is measured
-    against the max magnitude of the direct values.  Passes iff max_rel_error <= tolerance;
-    a bad tolerance raises first, a wrong length before the oracle runs.  Each check runs
-    once, and one (2, c) buffer is all a call builds: the fold's sums and their FFT in row 0,
-    the oracle's rows in row 1, one scale over both, then the difference in row 0.
+    Both paths are evaluated at the retained indices k*L; the relative
+    error is measured against the max magnitude of the direct values.
+    Passes iff max_rel_error <= tolerance; a bad tolerance raises first,
+    a wrong length before the oracle runs.  Each check runs once: x is
+    converted once, and the pipeline's fresh values become the difference
+    in place, so the two compared arrays are all a call builds.
     """
-    tolerance, x = _tolerance(tolerance), _complex_array(x)
+    tolerance = _tolerance(tolerance)
+    x = _complex_array(x)
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
-    got, oracle = buf = np.empty((2, plan.c), complex)
-    _fft(_fold(x, plan, got), direction, out=got)
-    _oracle(x, plan, direction, _NONE, oracle)  # unscaled: both rows take one factor
-    _scaled(buf, direction, mode, plan.n)
-    np.subtract(got, oracle, out=got)
-    return _report(buf, tolerance)
+    got, oracle = _values(x, plan, direction, mode), _oracle(x, plan, direction, mode)
+    return _report(np.subtract(got, oracle, out=got), oracle, tolerance)
 
 
-def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode, out=None) -> np.ndarray:
+def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
     """The retained coefficients by the definition: rows k*L of the n-point direct transform.
 
-    The row kernel of :mod:`ricdft.engine` at step L, into ``out`` or a fresh
-    array, scaled at length n, on the twiddle record a plan keeps when the
-    engine returns it reusable: in the plan object's own ``__dict__``, found
-    without hashing the plan and freed with it.  The fold, the c-point FFT and
+    The row kernel of :mod:`ricdft.engine` at step L, scaled at length n,
+    on the twiddle record a plan keeps when the engine returns it
+    reusable: in the plan object's own ``__dict__``, found without hashing
+    the plan and freed with it.  The fold, the c-point FFT and
     W_n**(l*m) = W_c**m go unused.  Checks nothing: the fold has accepted x
     (its length, and a NaN/Inf sample through its column sum) and
     direction and mode are members.
@@ -162,4 +165,4 @@ def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode, out
         blocks = _twiddles(plan.n, plan.l)
         if blocks.reusable:
             plan.__dict__["_oracle_blocks"] = blocks
-    return _scaled(_direct_rows(x, direction, blocks, out), direction, mode, plan.n)
+    return _scaled(_direct_rows(x, direction, blocks), direction, mode, plan.n)

@@ -1,6 +1,8 @@
 import cmath
+import importlib.util
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -404,6 +406,25 @@ def test_transform_is_one_path_with_reference_counts():
             want_ctr = radix2_ctr if is_power_of_two(m) else direct_ctr
             want = (want_ctr.complex_adds, want_ctr.complex_mults)
             assert (got_ctr.complex_adds, got_ctr.complex_mults) == want == engine.op_counts(m), m
+
+
+def test_fft_has_np_fft_bits_with_or_without_its_ufuncs(monkeypatch):
+    # _fft calls the pocketfft ufuncs under np.fft.fft and np.fft.ifft(norm="forward")
+    # directly; an engine loaded where numpy has no such module calls the wrappers.
+    # Either gives the wrappers' bits, into a fresh array or a given one, on
+    # contiguous and on strided input
+    monkeypatch.setitem(sys.modules, "numpy.fft._pocketfft_umath", None)
+    spec = importlib.util.spec_from_file_location("ricdft._engine_on_wrappers", engine.__file__)
+    spec.loader.exec_module(wrapped := importlib.util.module_from_spec(spec))
+    assert wrapped._pocket_fft is not engine._pocket_fft
+    rng = np.random.default_rng(29)
+    strided = [random_complex(rng, 2 * m)[::2] for m in (8, 24, 3000)]
+    for x in [random_complex(rng, m) for m in [1] + TRANSFORM_LENGTHS] + strided:
+        for direction, want in ((F, np.fft.fft(x)), (I, np.fft.ifft(x, norm="forward"))):
+            for module in (engine, wrapped):
+                out = np.full(len(x), np.nan, complex)
+                assert module._fft(x, direction, out=out) is out
+                assert out.tobytes() == module._fft(x, direction).tobytes() == want.tobytes()
 
 
 def test_round_trips():

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import gc
 import importlib
 import itertools
@@ -444,11 +443,10 @@ def _bits(report):
 
 @pytest.mark.parametrize("case", range(60))
 def test_verify_reports_the_pipeline_against_the_oracle_bit_for_bit(case):
-    # verify folds and transforms into row 0 of one (2, c) buffer, writes the
-    # oracle's unscaled rows into row 1 and scales both rows at once: every
-    # field of its report equals the report on ric_dft/ric_idft's values
-    # minus the oracle's rows (compare_values, which is _report on got - oracle),
-    # for a fresh plan and for the same plan reading its kept twiddle record
+    # every field of verify's report equals the report on ric_dft/ric_idft's
+    # values minus the oracle's rows (compare_values, which is _report on
+    # got - oracle), for a fresh plan and for the same plan reading its kept
+    # twiddle record
     _, plan, x = random_case(case)
     runs = ((ric_dft, F), (ric_idft, I))
     for (run, direction), mode in itertools.product(runs, (NONE, RECIP, UNITARY)):
@@ -521,20 +519,6 @@ def test_compare_values_rejects_mismatched_input():
         with pytest.raises(SequenceError):
             compare_values(got, oracle)
     assert not compare_values([np.nan, 1], [1, 1]).passed
-
-
-def test_spectrum_is_the_frozen_record_its_init_builds():
-    # the pipeline sets a spectrum's fields without the frozen __init__: the
-    # same fields in the same order, repr and equality as the record __init__
-    # builds from them, and assigning a field still raises FrozenInstanceError
-    x, plan = random_complex(np.random.default_rng(43), 24), make_plan(24, 6)
-    for run, direction in ((ric_dft, F), (ric_idft, I)):
-        spectrum = run(x, plan, UNITARY)
-        built = ricdft.ric.RicSpectrum(spectrum.indices, spectrum.values, plan, UNITARY, direction)
-        assert list(vars(spectrum)) == list(vars(built)) == [f.name for f in dataclasses.fields(built)]
-        assert repr(spectrum) == repr(built) and spectrum == built
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            spectrum.values = built.values
 
 
 def test_entries_view():
