@@ -8,22 +8,33 @@ repr, so csv round trips are exact; raw-f64 round trips are bit-exact,
 signed zeros included.  A format is a :class:`SignalFormat` member or its
 string value.
 
-A csv signal is parsed in one ``np.loadtxt`` pass.  The line loop runs only
-on a file that pass does not take (a bad line, no samples, or a number form
-only ``float()`` reads, such as ``1_0``): it returns the same values, bit for
-bit, or raises :class:`SignalFileError` with the first bad line.  Both read
-the text through ``_csv_text``, which alone states how it is decoded and
-which line is the header.  A spectrum's csv lines and json entries come
-from one list of (k, index, re, im) rows.
+A csv signal is parsed in one pass of numpy's chunked C reader, the one
+``np.loadtxt`` runs on a path, fed the open text a chunk at a time.  No path
+is handed to numpy: its DataSource would gunzip a file named ``*.gz`` and,
+for a missing file, open a compressed sibling such as ``<path>.gz``.  The
+line loop runs only on a file that pass does not take (a bad line, no
+samples, or a number form only ``float()`` reads, such as ``1_0``): it
+returns the same values, bit for bit, or raises :class:`SignalFileError`
+with the first bad line.  Both read the text through ``_csv_text``, which
+alone states how it is decoded and which line is the header.  A spectrum's csv lines and json entries come from one list
+of (k, index, re, im) rows; a json spectrum of finite values is rendered
+from a template with the bytes ``json.dumps(doc, indent=2)`` gives, since
+``indent`` keeps ``json`` on its pure-Python encoder.
 """
 
 import contextlib
 import json
 import math
+import types
 import warnings
 from enum import Enum
 
 import numpy as np
+
+try:  # the chunked reader np.loadtxt runs on a path (numpy >= 2.0)
+    from numpy._core._multiarray_umath import _load_from_filelike
+except ImportError:  # a numpy that moved it: _loadtxt falls back to np.loadtxt
+    _load_from_filelike = None
 
 from .core import OutOfRangeError, RicdftError, _member, _real, _shown, _size, as_complex_sequence
 
@@ -78,19 +89,36 @@ def _read_csv(path) -> np.ndarray:
     return _read_csv_lines(path)
 
 
+def _screened(text: str) -> str:
+    if any(ch in text for ch in "\x1c\x1d\x1e\x1f"):
+        raise ValueError("numpy strips \\x1c-\\x1f around a field, float() does not")
+    return text
+
+
 def _loadtxt(fh):
-    """At least one row of floats from where fh is, in one np.loadtxt pass, or None."""
+    """At least one row of floats from where fh is, in one pass, or None.
+
+    numpy's C reader pulls fh's text in chunks, each screened as it is read.
+    A numpy without that reader, or with another signature, gets
+    ``np.loadtxt`` on fh's screened lines instead.
+    """
     start = fh.tell()
-    for chunk in iter(lambda: fh.read(1 << 16), ""):
-        if any(ch in chunk for ch in "\x1c\x1d\x1e\x1f"):
-            return None  # loadtxt strips these around a field, float() does not
-    fh.seek(start)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # no rows: loadtxt warns, so raise
-            return np.loadtxt(fh, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except (ValueError, UserWarning):
+        try:
+            rows = _load_from_filelike(
+                types.SimpleNamespace(read=lambda size: _screened(fh.read(size))),
+                delimiter=",", comment=None, quote=None, imaginary_unit="j", usecols=None,
+                skiplines=0, max_rows=-1, converters=None, dtype=np.dtype(np.float64),
+                encoding=fh.encoding, filelike=True, byte_converters=False)
+        except TypeError:
+            fh.seek(start)  # a reader that rejects what read() returns has taken a chunk
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: loadtxt warns
+                rows = np.loadtxt(map(_screened, fh), delimiter=",", comments=None,
+                                  dtype=np.float64, ndmin=2)
+    except ValueError:
         return None
+    return rows if len(rows) else None
 
 
 def _read_csv_lines(path) -> np.ndarray:
@@ -159,14 +187,19 @@ def write_spectrum(spectrum, path, fmt="csv"):
         with open(path, "w", newline="") as fh:
             fh.write(",".join(fields) + "\n")
             fh.writelines(f"{k},{idx},{re!r},{im!r}\n" for k, idx, re, im in rows)
-    else:
-        doc = {
-            "header": {"n": spectrum.plan.n, "c": spectrum.plan.c, "l": spectrum.plan.l,
-                       "mode": spectrum.mode.value, "direction": spectrum.direction.value},
-            "entries": [dict(zip(fields, row)) for row in rows],
-        }
-        with open(path, "w") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")  # one write: json.dump writes each token
+        return
+    header = {"n": spectrum.plan.n, "c": spectrum.plan.c, "l": spectrum.plan.l,
+              "mode": spectrum.mode.value, "direction": spectrum.direction.value}
+    if np.all(np.isfinite(z)):  # complex: both parts finite, so json writes each as its repr
+        head = ",\n".join(f"    {json.dumps(key)}: {json.dumps(value)}" for key, value in header.items())
+        body = ",".join(f'\n    {{\n      "k": {k},\n      "index": {idx},\n      "re": {re!r},\n'
+                        f'      "im": {im!r}\n    }}' for k, idx, re, im in rows)
+        close = "\n  ]" if rows else "]"
+        text = f'{{\n  "header": {{\n{head}\n  }},\n  "entries": [{body}{close}\n}}'
+    else:  # json spells inf and nan its own way
+        text = json.dumps({"header": header, "entries": [dict(zip(fields, row)) for row in rows]}, indent=2)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")  # one write: json.dump writes each token
 
 
 def synthesize_tones(n: int, tones) -> np.ndarray:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -276,7 +277,7 @@ def _read_like_line_loop(path):
     return got
 
 
-@pytest.mark.parametrize("name, data, want", [
+_CSV_CASES = [
     ("x.csv", b"re,im\n1,2\n", [1 + 2j]),
     ("x.csv", b"RE, IM\n1,2\n", [1 + 2j]),
     ("x.csv", b"\n\n  re , im \n1,2\n", [1 + 2j]),
@@ -306,11 +307,17 @@ def _read_like_line_loop(path):
     ("x.csv", b"", None),
     ("x.csv", b"re,im\n", None),
     ("x.csv", b"\n \r\n", None),
-], ids=["header", "header-caps-spaced", "header-after-blanks", "no-header", "crlf", "cr",
-        "blank-lines", "whitespace-line", "spaced-fields", "signed-zeros", "subnormals",
-        "underscore", "unicode", "gz-name", "nan-line-3", "inf-line-2", "one-field",
-        "three-fields", "cr-splits-a-row", "line-ends-1e", "field-ends-1e", "nul", "second-header",
-        "bom", "not-utf8", "not-utf8-line-3", "empty", "header-only", "blank-only"])
+]
+_CSV_IDS = [
+    "header", "header-caps-spaced", "header-after-blanks", "no-header", "crlf", "cr",
+    "blank-lines", "whitespace-line", "spaced-fields", "signed-zeros", "subnormals",
+    "underscore", "unicode", "gz-name", "nan-line-3", "inf-line-2", "one-field",
+    "three-fields", "cr-splits-a-row", "line-ends-1e", "field-ends-1e", "nul", "second-header",
+    "bom", "not-utf8", "not-utf8-line-3", "empty", "header-only", "blank-only",
+]
+
+
+@pytest.mark.parametrize("name, data, want", _CSV_CASES, ids=_CSV_IDS)
 def test_read_csv_matches_line_loop(tmp_path, name, data, want):
     path = tmp_path / name
     path.write_bytes(data)
@@ -321,6 +328,18 @@ def test_read_csv_matches_line_loop(tmp_path, name, data, want):
         assert isinstance(got, SignalFileError) and got.line == want
 
 
+def _changed_signature(*args, **kwargs):
+    raise TypeError("_load_from_filelike() got an unexpected keyword argument")
+
+
+@pytest.mark.parametrize("reader", [None, _changed_signature], ids=["missing", "changed-signature"])
+@pytest.mark.parametrize("name, data, want", _CSV_CASES, ids=_CSV_IDS)
+def test_read_csv_without_chunked_reader_matches_line_loop(tmp_path, monkeypatch, reader, name, data, want):
+    # a numpy that moved or changed its C reader: np.loadtxt on the lines reads the same
+    monkeypatch.setattr(ricdft.io, "_load_from_filelike", reader)
+    test_read_csv_matches_line_loop(tmp_path, name, data, want)
+
+
 def test_read_csv_matches_line_loop_on_random_files(tmp_path):
     rng = np.random.default_rng(53)
 
@@ -328,7 +347,7 @@ def test_read_csv_matches_line_loop_on_random_files(tmp_path):
         return str(rng.choice(rare if rng.random() < 0.03 else common))
 
     def pad():
-        return pick(["", " "], ["\t", "\x0c", "\u2003", "\x00", "\x1e"])
+        return pick(["", " "], ["\t", "\x0b", "\x0c", "\x85", "\xa0", "\u2003", "\u2028", "\x00", "\x1e"])
 
     def csv_text():
         lines = ["re,im\n"] if rng.random() < 0.3 else []
@@ -379,3 +398,52 @@ def test_write_csv_bytes_match_per_sample_format(tmp_path, x):
     write_signal(x, path)
     want = "re,im\n" + "".join(f"{float(z.real)!r},{float(z.imag)!r}\n" for z in x)
     assert path.read_bytes() == want.encode()
+
+
+def _special_values(spectrum):
+    """spectrum with signed zeros, subnormals and +-1e300 in its first entries."""
+    specials = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -2.2250738585072e-310),
+                complex(1e300, -1e300), complex(-1e-300, 1.5)]
+    values = spectrum.values.copy()
+    values[:len(specials)] = specials[:values.size]
+    return dataclasses.replace(spectrum, values=values)
+
+
+def _json_dumps_bytes(spectrum):
+    doc = {
+        "header": {"n": spectrum.plan.n, "c": spectrum.plan.c, "l": spectrum.plan.l,
+                   "mode": spectrum.mode.value, "direction": spectrum.direction.value},
+        "entries": [{"k": k, "index": int(i), "re": float(z.real), "im": float(z.imag)}
+                    for k, (i, z) in enumerate(zip(spectrum.indices, spectrum.values))],
+    }
+    return (json.dumps(doc, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_json_spectrum_bytes_match_json_dumps(tmp_path, case):
+    rng = np.random.default_rng(56 + case)
+    n = int(rng.choice([8, 48, 256, 1000, 4096]))
+    divisors = [c for c in range(2, n // 2 + 1) if n % c == 0]
+    plan = make_plan(n, int(rng.choice(divisors)))
+    x = random_complex(rng, n)
+    path = tmp_path / "spec.json"
+    for transform in (ric_dft, ric_idft):
+        for mode in NormalizationMode:
+            for spectrum in (transform(x, plan, mode), _special_values(transform(x, plan, mode))):
+                write_spectrum(spectrum, path, "json")
+                assert path.read_bytes() == _json_dumps_bytes(spectrum)
+
+
+@pytest.mark.parametrize("values", [
+    [complex(math.inf, 0.0), complex(-0.0, 5e-324), 1e300, -1e300],
+    [complex(1.0, -math.inf), 0, 0, 0],
+    [complex(math.nan, -0.0), 1, 2, 3],
+    [],
+], ids=["inf", "minus-inf", "nan", "no-entries"])
+def test_json_spectrum_of_hand_built_values_bytes_match_json_dumps(tmp_path, values):
+    spectrum = ric_dft(GOLDEN_X, make_plan(8, 4), NormalizationMode.NONE)
+    spectrum = dataclasses.replace(spectrum, values=np.array(values, dtype=np.complex128),
+                                   indices=spectrum.indices[:len(values)])
+    path = tmp_path / "spec.json"
+    write_spectrum(spectrum, path, "json")
+    assert path.read_bytes() == _json_dumps_bytes(spectrum)
