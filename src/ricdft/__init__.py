@@ -6,6 +6,12 @@ n-point transform at indices 0, l, 2l, ..., (c-1)l.  The package bundles
 the fold, the transform with its direct reference, the end-to-end
 pipeline with normalization corrections, the closed-form operation
 counts of a plan, a frequency planner and file formats.
+
+Two numpy-private entry points are imported, both present from numpy 2.0:
+``engine`` calls the pocketfft ufuncs ``numpy.fft._pocketfft_umath`` holds,
+and ``io`` the chunked csv reader ``_load_from_filelike``.  Each is imported
+under a guard, and where it is missing the public path that gives the same
+result runs instead: the ``np.fft`` wrappers, and the csv line loop.
 """
 
 from .core import (

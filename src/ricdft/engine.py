@@ -25,9 +25,9 @@ import math
 
 import numpy as np
 
-try:  # the ufuncs np.fft.fft and np.fft.ifft end in (numpy >= 2.0)
+try:  # numpy-private, by the package's rule: missing, the np.fft wrappers run
     from numpy.fft._pocketfft_umath import fft as _pocket_fft, ifft as _pocket_ifft
-except ImportError:  # a numpy that moved them: the wrappers, unscaled ("forward" leaves the inverse so)
+except ImportError:  # unscaled: "forward" leaves the inverse so
     _pocket_fft = lambda x, fct, axes, out: np.fft.fft(x, out=out)
     _pocket_ifft = lambda x, fct, axes, out: np.fft.ifft(x, norm="forward", out=out)
 

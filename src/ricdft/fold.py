@@ -27,14 +27,17 @@ class FoldedSequence:
     plan: RicPlan
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a decorator state is entered afresh per call, per thread
 def fold(x, plan: RicPlan, counter: OpCounter | None = None) -> FoldedSequence:
     """Fold an n-point signal or spectrum down to c column sums.
 
     output[col] = sum over row of x[row*c + col], for col in [0, c-1]:
     x converted once, then :func:`_fold`, the kernel the pipeline and the
-    verifier call on the array they converted themselves.
+    verifier call on the array they converted themselves, and
+    :func:`_checked` on the sums.
     """
-    out = _fold(_complex_array(x), plan)
+    x = _complex_array(x)
+    out = _checked(_fold(x, plan), x, plan)
     _tally(counter, _fold_counts(plan))
     return FoldedSequence(samples=out, plan=plan)
 
@@ -44,15 +47,15 @@ def _fold_counts(plan: RicPlan) -> tuple[int, int]:
     return plan.c * (plan.l - 1), 0
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a decorator state is entered afresh per call, per thread
 def _fold(x: np.ndarray, plan: RicPlan) -> np.ndarray:
-    """The c column sums of a converted x, in a fresh array; its length and the sums checked.
+    """The c column sums of a converted x, in a fresh array; its length checked, the sums not.
 
     Halves l and doubles the width w (first c) while l is even and l > w,
     sums the l' x w columns, then folds those w sums to c when w > c: a
     fixed order, not by ascending row.  Rows of ``_WIDE`` values or more are added one
-    at a time in row order: one reduce's bits, without its pass copying row 0.  NaN/Inf
-    (or overflow) is sought in the c sums only when their total is not finite.
+    at a time in row order: one reduce's bits, without its pass copying row 0.  The
+    caller runs it under ``errstate(over="ignore", invalid="ignore")`` and checks what
+    it makes of the sums with :func:`_checked`.
     """
     if len(x) != plan.n:
         raise LengthMismatchError(f"sequence has {len(x)} samples, plan expects {plan.n}")
@@ -68,9 +71,22 @@ def _fold(x: np.ndarray, plan: RicPlan) -> np.ndarray:
             np.add(out, row, out=out)
     if w > plan.c:
         out = np.add.reduce(out.reshape(w // plan.c, plan.c), axis=0)
-    if not cmath.isfinite(np.add.reduce(out)):  # any sum not finite, or finite sums overflowing
-        _finite(out, "sequence, or a column sum overflows")
     return out
+
+
+def _checked(values: np.ndarray, x: np.ndarray, plan: RicPlan) -> np.ndarray:
+    """``values``, x's c sums or their scaled transform, when all are finite, else SequenceError.
+
+    A NaN/Inf sum makes every value of its transform non-finite, so one
+    total of the values is sought first.  When it is not finite, x's sums are
+    folded again for the message: NaN/Inf samples or an overflowing column
+    sum name the sequence, finite sums a transform that overflows float64.
+    Finite values whose total overflows pass.
+    """
+    if not cmath.isfinite(np.add.reduce(values)):
+        _finite(_fold(x, plan), "sequence, or a column sum overflows")
+        _finite(values, "transform, which overflows float64")
+    return values
 
 
 # The inverse path folds a spectrum with the same kernel.

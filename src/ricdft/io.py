@@ -12,28 +12,28 @@ A csv signal is parsed in one pass of numpy's chunked C reader, the one
 ``np.loadtxt`` runs on a path, fed the open text a chunk at a time.  No path
 is handed to numpy: its DataSource would gunzip a file named ``*.gz`` and,
 for a missing file, open a compressed sibling such as ``<path>.gz``.  The
-line loop runs only on a file that pass does not take (a bad line, no
-samples, or a number form only ``float()`` reads, such as ``1_0``): it
-returns the same values, bit for bit, or raises :class:`SignalFileError`
-with the first bad line.  Both read the text through ``_csv_text``, which
-alone states how it is decoded and which line is the header.  A spectrum's csv lines and json entries come from one list
-of (k, index, re, im) rows; a json spectrum of finite values is rendered
-from a template with the bytes ``json.dumps(doc, indent=2)`` gives, since
-``indent`` keeps ``json`` on its pure-Python encoder.
+line loop runs on any file that pass does not take (a bad line, no samples,
+or a number form only ``float()`` reads, such as ``1_0``), and on every file
+when numpy lacks that reader: it returns the same values, bit for bit, or
+raises :class:`SignalFileError` with the first bad line.  Both read the text
+through ``_csv_text``, which alone states how it is decoded and which line
+is the header.  A spectrum's csv lines and json entries come from one list
+of (k, index, re, im) rows; a json spectrum is rendered from one template,
+with the bytes ``json.dumps(doc, indent=2)`` gives, since ``indent`` keeps
+``json`` on its pure-Python encoder.
 """
 
 import contextlib
 import json
 import math
 import types
-import warnings
 from enum import Enum
 
 import numpy as np
 
-try:  # the chunked reader np.loadtxt runs on a path (numpy >= 2.0)
+try:  # numpy-private, by the package's rule: missing, the line loop reads every csv
     from numpy._core._multiarray_umath import _load_from_filelike
-except ImportError:  # a numpy that moved it: _loadtxt falls back to np.loadtxt
+except ImportError:
     _load_from_filelike = None
 
 from .core import OutOfRangeError, RicdftError, _member, _real, _shown, _size, as_complex_sequence
@@ -96,27 +96,19 @@ def _screened(text: str) -> str:
 
 
 def _loadtxt(fh):
-    """At least one row of floats from where fh is, in one pass, or None.
+    """At least one row of floats from where fh is, in one pass of numpy's C reader, or None.
 
-    numpy's C reader pulls fh's text in chunks, each screened as it is read.
-    A numpy without that reader, or with another signature, gets
-    ``np.loadtxt`` on fh's screened lines instead.
+    The reader pulls fh's text in chunks, each screened as it is read.  None
+    when it refuses the text, or when it is missing or has another signature
+    (calling None raises ``TypeError`` too): the line loop then reads the file.
     """
-    start = fh.tell()
     try:
-        try:
-            rows = _load_from_filelike(
-                types.SimpleNamespace(read=lambda size: _screened(fh.read(size))),
-                delimiter=",", comment=None, quote=None, imaginary_unit="j", usecols=None,
-                skiplines=0, max_rows=-1, converters=None, dtype=np.dtype(np.float64),
-                encoding=fh.encoding, filelike=True, byte_converters=False)
-        except TypeError:
-            fh.seek(start)  # a reader that rejects what read() returns has taken a chunk
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no rows: loadtxt warns
-                rows = np.loadtxt(map(_screened, fh), delimiter=",", comments=None,
-                                  dtype=np.float64, ndmin=2)
-    except ValueError:
+        rows = _load_from_filelike(
+            types.SimpleNamespace(read=lambda size: _screened(fh.read(size))),
+            delimiter=",", comment=None, quote=None, imaginary_unit="j", usecols=None,
+            skiplines=0, max_rows=-1, converters=None, dtype=np.dtype(np.float64),
+            encoding=fh.encoding, filelike=True, byte_converters=False)
+    except (TypeError, ValueError):
         return None
     return rows if len(rows) else None
 
@@ -180,26 +172,26 @@ def write_spectrum(spectrum, path, fmt="csv"):
     kind = str(fmt).lower() if isinstance(fmt, str) else None
     if kind not in _SPECTRUM_FORMATS:
         raise OutOfRangeError(f"unknown spectrum format {_shown(fmt)}")
-    fields = ("k", "index", "re", "im")
     z = spectrum.values
     rows = list(zip(range(z.size), spectrum.indices.tolist(), z.real.tolist(), z.imag.tolist()))
     if kind == "csv":
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(fields) + "\n")
+            fh.write("k,index,re,im\n")
             fh.writelines(f"{k},{idx},{re!r},{im!r}\n" for k, idx, re, im in rows)
         return
     header = {"n": spectrum.plan.n, "c": spectrum.plan.c, "l": spectrum.plan.l,
               "mode": spectrum.mode.value, "direction": spectrum.direction.value}
-    if np.all(np.isfinite(z)):  # complex: both parts finite, so json writes each as its repr
-        head = ",\n".join(f"    {json.dumps(key)}: {json.dumps(value)}" for key, value in header.items())
-        body = ",".join(f'\n    {{\n      "k": {k},\n      "index": {idx},\n      "re": {re!r},\n'
-                        f'      "im": {im!r}\n    }}' for k, idx, re, im in rows)
-        close = "\n  ]" if rows else "]"
-        text = f'{{\n  "header": {{\n{head}\n  }},\n  "entries": [{body}{close}\n}}'
-    else:  # json spells inf and nan its own way
-        text = json.dumps({"header": header, "entries": [dict(zip(fields, row)) for row in rows]}, indent=2)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")  # one write: json.dump writes each token
+    head = ",\n".join(f"    {json.dumps(key)}: {json.dumps(value)}" for key, value in header.items())
+    body = ",".join(f'\n    {{\n      "k": {k},\n      "index": {idx},\n      "re": {_json_float(re)},\n'
+                    f'      "im": {_json_float(im)}\n    }}' for k, idx, re, im in rows)
+    close = "\n  ]" if rows else "]"
+    with open(path, "w") as fh:  # one write: json.dump writes each token
+        fh.write(f'{{\n  "header": {{\n{head}\n  }},\n  "entries": [{body}{close}\n}}\n')
+
+
+def _json_float(v: float) -> str:
+    """v as ``json`` writes it: its repr when finite, else Infinity, -Infinity or NaN."""
+    return repr(v) if math.isfinite(v) else json.dumps(v)
 
 
 def synthesize_tones(n: int, tones) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 from .core import (Direction, LengthMismatchError, NormalizationMode, RicPlan, _complex_array,
                    _member, _tolerance)
 from .engine import _direct_rows, _fft, _scaled, _twiddles, op_counts
-from .fold import _fold, _fold_counts
+from .fold import _checked, _fold, _fold_counts
 
 
 @dataclass(frozen=True)
@@ -65,18 +65,22 @@ def _ric(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> Ric
     """Fold, an unscaled c-point FFT in ``direction``, then the scale at length n.
 
     x is converted once; :func:`ricdft.fold._fold` checks its length and
-    the c sums.  ``direction`` and ``mode`` take a member or its string
-    value; the spectrum records the member.
+    :func:`ricdft.fold._checked` the c values.  ``direction`` and ``mode``
+    take a member or its string value; the spectrum records the member.
     """
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
     indices = ric_index_set(plan)
     return RicSpectrum(indices, _values(_complex_array(x), plan, direction, mode), plan, mode, direction)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a decorator state is entered afresh per call, per thread
 def _values(x: np.ndarray, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
-    """The pipeline's c values of a converted x: the fold's fresh sums, transformed and scaled there."""
+    """The pipeline's c values of a converted x: the fold's fresh sums, transformed and scaled there.
+
+    Non-finite values raise SequenceError, by :func:`ricdft.fold._checked`.
+    """
     sums = _fold(x, plan)
-    return _scaled(_fft(sums, direction, out=sums), direction, mode, plan.n)
+    return _checked(_scaled(_fft(sums, direction, out=sums), direction, mode, plan.n), x, plan)
 
 
 def ric_dft(x, plan: RicPlan, mode: NormalizationMode = NormalizationMode.NONE) -> RicSpectrum:
@@ -157,8 +161,8 @@ def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> 
     on the twiddle record a plan keeps when the engine returns it
     reusable: in the plan object's own ``__dict__``, found without hashing
     the plan and freed with it.  The fold, the c-point FFT and
-    W_n**(l*m) = W_c**m go unused.  Checks nothing: the fold has accepted x
-    (its length, and a NaN/Inf sample through its column sum) and
+    W_n**(l*m) = W_c**m go unused.  Checks nothing: the pipeline has accepted x
+    (its length, and every value finite, so no NaN/Inf sample) and
     direction and mode are members.
     """
     if (blocks := plan.__dict__.get("_oracle_blocks")) is None:

@@ -14,6 +14,9 @@ from ricdft.cli import main
 
 from helpers import GOLDEN_FOLD, GOLDEN_FORWARD, GOLDEN_INVERSE_N, GOLDEN_X
 
+# 1e308, -1e308, 0, 0: at n = 4, c = 2 the column sums are finite, their transform is not
+OVERFLOW_CSV = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "overflow.csv")
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -394,12 +397,18 @@ def test_usage_error_exit_code():
     (["verify", "--random", "--n", str(2 ** 62), "--c", "2"], 2),
     (["synth", "--n", "8", "--tone", "1:1e308", "--tone", "1:1e308", "--out", "{tmp}/t.csv"], 2),
     (["verify", "--in", "{tmp}/missing.csv", "--n", "8", "--c", "2", "--tol", "nan"], 2),
+    # finite samples whose c-point transform overflows float64
+    (["dft", "--in", OVERFLOW_CSV, "--out", "{tmp}/o.csv", "--n", "4", "--c", "2"], 2),
+    (["idft", "--in", OVERFLOW_CSV, "--out", "{tmp}/o.csv", "--n", "4", "--c", "2"], 2),
+    (["verify", "--in", OVERFLOW_CSV, "--n", "4", "--c", "2"], 2),
+    (["verify", "--in", OVERFLOW_CSV, "--n", "4", "--c", "2", "--direction", "inverse"], 2),
 ], ids=["bench-bad-list", "plan-bad-target", "synth-nan-amp", "dft-wrong-length",
         "verify-nan-tol", "verify-negative-tol", "plan-nan-tol", "verify-negative-seed",
         "bench-non-divisor", "plan-nan-target", "verify-huge-n", "synth-huge-n",
         "bench-c-above-half", "bench-no-pow2-c", "dft-not-utf8", "verify-in-and-random",
         "synth-unallocatable-n", "verify-unallocatable-n", "synth-overflow",
-        "verify-bad-tol-missing-file"])
+        "verify-bad-tol-missing-file", "dft-overflow", "idft-overflow", "verify-overflow",
+        "verify-inverse-overflow"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, code):
     write_signal(GOLDEN_X, tmp_path / "x.csv")  # 8 samples: wrong length for n = 16
     (tmp_path / "b.csv").write_bytes(b"\xff\xfe1,2\n1,2\n1,2\n1,2\n")  # not UTF-8

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from ricdft import (
+    Direction,
     LengthMismatchError,
+    NormalizationMode,
     OpCounter,
     SequenceError,
     fold,
@@ -278,6 +280,44 @@ def test_fold_keeps_its_error_state_under_a_raising_caller():
         assert np.geterr() == before == {"divide": "raise", "over": "raise", "under": "raise",
                                          "invalid": "raise"}
     assert np.geterr() == outside
+
+
+
+OVERFLOW = "non-finite values in the transform, which overflows float64"
+
+
+def test_transform_that_overflows_raises_the_typed_error():
+    # finite samples and finite column sums whose c-point transform overflows
+    # float64 (X[1] = 1e308 - (-1e308)): fold passes them, and every entry
+    # point that transforms them raises SequenceError naming the overflow, in
+    # either direction and every mode, with no numpy warning even when the
+    # caller's error state raises
+    x, plan = np.array([1e308, -1e308, 0, 0], dtype=np.complex128), make_plan(4, 2)
+    assert fold(x, plan).samples.tobytes() == x[:2].tobytes()
+    with np.errstate(all="raise"):
+        for mode in NormalizationMode:
+            for fn in (ric_dft, ric_idft):
+                with pytest.raises(SequenceError) as err:
+                    fn(x, plan, mode)
+                assert str(err.value) == OVERFLOW, (fn, mode)
+            for direction in Direction:
+                with pytest.raises(SequenceError) as err:
+                    verify_against_oracle(x, plan, mode, direction)
+                assert str(err.value) == OVERFLOW, (mode, direction)
+
+
+def test_finite_sums_whose_transform_overflows_raise_through_the_pipeline():
+    # the inputs fold passes in test_fold_finite_sums_whose_total_overflows_pass:
+    # X[0] (and the unscaled inverse's x[0]) is 1e308 + 1e308, which overflows
+    for n in (24, 64, 4096):
+        for c, _ in divisor_pairs(n):
+            for part in ("real", "imag"):
+                x = np.zeros(n, dtype=np.complex128)
+                getattr(x, part)[[0, 1]] = 1e308
+                for fn in (ric_dft, ric_idft):
+                    with pytest.raises(SequenceError) as err:
+                        fn(x, make_plan(n, c))
+                    assert str(err.value) == OVERFLOW, (n, c, part, fn)
 
 
 def _pass_lengths(l, c):

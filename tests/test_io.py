@@ -335,8 +335,12 @@ def _changed_signature(*args, **kwargs):
 @pytest.mark.parametrize("reader", [None, _changed_signature], ids=["missing", "changed-signature"])
 @pytest.mark.parametrize("name, data, want", _CSV_CASES, ids=_CSV_IDS)
 def test_read_csv_without_chunked_reader_matches_line_loop(tmp_path, monkeypatch, reader, name, data, want):
-    # a numpy that moved or changed its C reader: np.loadtxt on the lines reads the same
+    # a numpy that moved or changed its C reader: the line loop, not numpy, reads the same
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt ran")
+
     monkeypatch.setattr(ricdft.io, "_load_from_filelike", reader)
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
     test_read_csv_matches_line_loop(tmp_path, name, data, want)
 
 
@@ -438,8 +442,10 @@ def test_json_spectrum_bytes_match_json_dumps(tmp_path, case):
     [complex(math.inf, 0.0), complex(-0.0, 5e-324), 1e300, -1e300],
     [complex(1.0, -math.inf), 0, 0, 0],
     [complex(math.nan, -0.0), 1, 2, 3],
+    [complex(-math.inf, 0.5), complex(2.0, math.inf), 0, 0],
+    [complex(math.copysign(math.nan, -1.0), 1.0), complex(0.5, math.copysign(math.nan, -1.0))],
     [],
-], ids=["inf", "minus-inf", "nan", "no-entries"])
+], ids=["inf", "minus-inf", "nan", "minus-inf-re-inf-im", "sign-bit-nan", "no-entries"])
 def test_json_spectrum_of_hand_built_values_bytes_match_json_dumps(tmp_path, values):
     spectrum = ric_dft(GOLDEN_X, make_plan(8, 4), NormalizationMode.NONE)
     spectrum = dataclasses.replace(spectrum, values=np.array(values, dtype=np.complex128),
@@ -447,3 +453,18 @@ def test_json_spectrum_of_hand_built_values_bytes_match_json_dumps(tmp_path, val
     path = tmp_path / "spec.json"
     write_spectrum(spectrum, path, "json")
     assert path.read_bytes() == _json_dumps_bytes(spectrum)
+
+
+def test_json_spectrum_with_a_few_non_finite_entries_bytes_match_json_dumps(tmp_path):
+    # a 256-entry spectrum, finite apart from a few entries: each value is
+    # spelled on its own, not the document as a whole
+    x = random_complex(np.random.default_rng(57), 1024)
+    spectrum = ric_dft(x, make_plan(1024, 256), NormalizationMode.UNITARY)
+    values = spectrum.values.copy()
+    values.real[[3, 200]] = math.inf, math.nan
+    values.imag[[17, 255]] = -math.inf, math.copysign(math.nan, -1.0)
+    spectrum = dataclasses.replace(spectrum, values=values)
+    path = tmp_path / "spec.json"
+    write_spectrum(spectrum, path, "json")
+    assert path.read_bytes() == _json_dumps_bytes(spectrum)
+    assert path.read_text().count("Infinity") == 2 and path.read_text().count("NaN") == 2
