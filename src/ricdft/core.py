@@ -224,7 +224,7 @@ def as_complex_sequence(x) -> np.ndarray:
     Rejects input that does not convert, has other than one dimension, is
     empty or holds NaN/Inf samples.
     """
-    return _finite(_complex_array(x))
+    return _finite(_complex_array(x), "sequence")
 
 
 def _complex_array(x) -> np.ndarray:
@@ -239,7 +239,20 @@ def _complex_array(x) -> np.ndarray:
     return arr
 
 
-def _finite(arr: np.ndarray, what: str = "sequence") -> np.ndarray:
+def _finite(arr: np.ndarray, what: str = "transform, which overflows float64") -> np.ndarray:
+    """arr when every value is finite, else SequenceError naming ``what``.
+
+    By default ``what`` is a transform output's: its input was finite, so
+    a NaN/Inf value there means a sum overflowed float64.
+    """
     if not np.all(np.isfinite(arr)):  # complex: both parts finite
         raise SequenceError(f"non-finite values in the {what}")
     return arr
+
+
+# The float-overflow policy of every public computation: numpy's overflow and
+# invalid warnings are off inside it, and it checks what it returns, so a value
+# beyond float64 raises SequenceError, never a warning.  It is only ever a
+# decorator: numpy's errstate then keeps each call's state token in that call,
+# entered afresh per call and per thread, so one instance serves every function.
+_float_guard = np.errstate(over="ignore", invalid="ignore")

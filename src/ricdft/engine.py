@@ -2,7 +2,8 @@
 
 :func:`transform` is numpy's pocketfft at every length, out of place;
 its unscaled core, ``_fft``, runs on the pipeline's c sums in place.
-:func:`dft_direct`, the definition at any length, shares its contract.
+:func:`dft_direct`, the definition at any length, shares its contract:
+finite values, or SequenceError for input beyond float64, never a warning.
 
 Twiddle factors come from one table per length m, entry r holding
 W_m**(-r) = exp(-2j*pi*r/m); the _TABLES most recently used stay
@@ -31,8 +32,8 @@ except ImportError:  # unscaled: "forward" leaves the inverse so
     _pocket_fft = lambda x, fct, axes, out: np.fft.fft(x, out=out)
     _pocket_ifft = lambda x, fct, axes, out: np.fft.ifft(x, norm="forward", out=out)
 
-from .core import (Direction, NormalizationMode, OpCounter, _member, _scale, _tally,
-                   as_complex_sequence, is_power_of_two)
+from .core import (Direction, NormalizationMode, OpCounter, _finite, _float_guard, _member, _scale,
+                   _tally, as_complex_sequence, is_power_of_two)
 
 # Twiddle tables and DFT matrices kept at once: a verify reads one of each, a
 # second serves a caller alternating two lengths.  Each costs O(m) to build.
@@ -87,6 +88,7 @@ def _direct_counts(m: int) -> tuple[int, int]:
     return m * (m - 1), m * m
 
 
+@_float_guard
 def dft_direct(
     x,
     direction: Direction = Direction.FORWARD,
@@ -100,12 +102,14 @@ def dft_direct(
     length; this is the reference the fast paths are checked against, by
     the module's row kernel at step 1.  ``counter`` tallies the definition's
     count, ``_direct_counts``, at every length, a power of two included.
-    ``direction`` and ``mode`` take a member or its string value.
+    ``direction`` and ``mode`` take a member or its string value.  The
+    values are finite, or SequenceError is raised: NaN/Inf input, or a sum
+    that overflows float64.
     """
     x = as_complex_sequence(x)
     direction, mode, m = _member(Direction, direction), _member(NormalizationMode, mode), len(x)
     _tally(counter, _direct_counts(m))
-    return _scaled(_direct_rows(x, direction, _twiddles(m, 1)), direction, mode, m)
+    return _finite(_scaled(_direct_rows(x, direction, _twiddles(m, 1)), direction, mode, m))
 
 
 _RowBlocks = collections.namedtuple("_RowBlocks", "b rows values reusable chunks")
@@ -181,6 +185,7 @@ def _twiddles(m: int, step: int) -> _RowBlocks:
     return _RowBlocks(b, (c // period, period), values, reusable, chunks)
 
 
+@_float_guard
 def transform(
     x,
     direction: Direction = Direction.FORWARD,
@@ -189,12 +194,13 @@ def transform(
 ) -> np.ndarray:
     """The transform at any length by ``np.fft``, scaled like the engines.
 
-    Matches :func:`dft_direct` on the same inputs up to roundoff.
+    Matches :func:`dft_direct` on the same inputs up to roundoff, and
+    raises as it does: finite values, or SequenceError.
     """
     x = as_complex_sequence(x)
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
     _tally(counter, op_counts(len(x)))
-    return _scaled(_fft(x, direction), direction, mode, len(x))
+    return _finite(_scaled(_fft(x, direction), direction, mode, len(x)))
 
 
 def _fft(x: np.ndarray, direction: Direction, out: np.ndarray | None = None) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LengthMismatchError, OpCounter, RicPlan, _complex_array, _finite, _tally
+from .core import LengthMismatchError, OpCounter, RicPlan, _complex_array, _finite, _float_guard, _tally
 
 _WIDE = 1 << 14  # values (256 KiB) from which a row is added alone: the crossover timed cold
 
@@ -27,14 +27,14 @@ class FoldedSequence:
     plan: RicPlan
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a decorator state is entered afresh per call, per thread
+@_float_guard
 def fold(x, plan: RicPlan, counter: OpCounter | None = None) -> FoldedSequence:
     """Fold an n-point signal or spectrum down to c column sums.
 
     output[col] = sum over row of x[row*c + col], for col in [0, c-1]:
     x converted once, then :func:`_fold`, the kernel the pipeline and the
     verifier call on the array they converted themselves, and
-    :func:`_checked` on the sums.
+    :func:`_checked` on the sums: finite sums, or SequenceError.
     """
     x = _complex_array(x)
     out = _checked(_fold(x, plan), x, plan)
@@ -54,8 +54,8 @@ def _fold(x: np.ndarray, plan: RicPlan) -> np.ndarray:
     sums the l' x w columns, then folds those w sums to c when w > c: a
     fixed order, not by ascending row.  Rows of ``_WIDE`` values or more are added one
     at a time in row order: one reduce's bits, without its pass copying row 0.  The
-    caller runs it under ``errstate(over="ignore", invalid="ignore")`` and checks what
-    it makes of the sums with :func:`_checked`.
+    caller runs it under ``core._float_guard`` and checks what it makes of the
+    sums with :func:`_checked`.
     """
     if len(x) != plan.n:
         raise LengthMismatchError(f"sequence has {len(x)} samples, plan expects {plan.n}")
@@ -85,7 +85,7 @@ def _checked(values: np.ndarray, x: np.ndarray, plan: RicPlan) -> np.ndarray:
     """
     if not cmath.isfinite(np.add.reduce(values)):
         _finite(_fold(x, plan), "sequence, or a column sum overflows")
-        _finite(values, "transform, which overflows float64")
+        _finite(values)
     return values
 
 

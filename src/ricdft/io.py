@@ -36,7 +36,8 @@ try:  # numpy-private, by the package's rule: missing, the line loop reads every
 except ImportError:
     _load_from_filelike = None
 
-from .core import OutOfRangeError, RicdftError, _member, _real, _shown, _size, as_complex_sequence
+from .core import (OutOfRangeError, RicdftError, _member, _float_guard, _real, _shown, _size,
+                   as_complex_sequence)
 
 
 class SignalFormat(str, Enum):
@@ -194,14 +195,16 @@ def _json_float(v: float) -> str:
     return repr(v) if math.isfinite(v) else json.dumps(v)
 
 
+@_float_guard
 def synthesize_tones(n: int, tones) -> np.ndarray:
     """Sum of complex exponentials: amp * exp(j*(2*pi*bin*m/n + phase)).
 
     n is an integer size (Python or numpy integer, not bool or float).
     ``tones`` is an iterable of (bin, amplitude, phase) with integer bins
     in [0, n-1] and finite amplitude and phase, else OutOfRangeError, as is an n
-    too large to allocate or a sum that overflows.  Bin*index products are
-    reduced mod n, keeping every sample accurate to machine precision.
+    too large to allocate or a sum that overflows float64 (never a numpy
+    warning).  Bin*index products are reduced mod n, keeping every sample
+    accurate to machine precision.
     """
     n = _size("n", n, 1)
     try:
@@ -213,9 +216,7 @@ def synthesize_tones(n: int, tones) -> np.ndarray:
         bin_idx, amp, phase = _size("tone bin", bin_idx), _real("amplitude", amp), _real("phase", phase)
         if bin_idx >= n:
             raise OutOfRangeError(f"tone bin {_shown(bin_idx)} outside [0, {n - 1}]")
-        angle = 2.0 * np.pi * ((bin_idx * m) % n) / n + phase
-        with np.errstate(over="ignore", invalid="ignore"):
-            x += amp * np.exp(1j * angle)
+        x += amp * np.exp(1j * (2.0 * np.pi * ((bin_idx * m) % n) / n + phase))
     if not np.all(np.isfinite(x)):  # complex: both parts finite
         raise OutOfRangeError("the tones' sum overflows to a non-finite sample")
     return x

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Direction, LengthMismatchError, NormalizationMode, RicPlan, _complex_array,
-                   _member, _tolerance)
-from .engine import _direct_rows, _fft, _scaled, _twiddles, op_counts
+from .core import (Direction, LengthMismatchError, NormalizationMode, RicPlan, SequenceError,
+                   _complex_array, _member, _float_guard, _tolerance)
+from .engine import _direct_rows, _fft, _read_only, _scaled, _twiddles, op_counts
 from .fold import _checked, _fold, _fold_counts
 
 
@@ -46,8 +46,7 @@ class RicSpectrum:
 def ric_index_set(plan: RicPlan) -> np.ndarray:
     """Indices {0, L, ..., (C-1)L}: read-only int64, built once per plan and kept on it (8c bytes)."""
     if (indices := plan.__dict__.get("_indices")) is None:
-        indices = plan.__dict__["_indices"] = np.arange(0, plan.n, plan.l, dtype=np.int64)
-        indices.flags.writeable = False
+        indices = plan.__dict__["_indices"] = _read_only(np.arange(0, plan.n, plan.l, dtype=np.int64))
     return indices
 
 
@@ -61,6 +60,7 @@ def ric_op_counts(plan: RicPlan) -> tuple[int, int]:
     return fold_adds + adds, fold_mults + mults
 
 
+@_float_guard
 def _ric(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> RicSpectrum:
     """Fold, an unscaled c-point FFT in ``direction``, then the scale at length n.
 
@@ -73,7 +73,6 @@ def _ric(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> Ric
     return RicSpectrum(indices, _values(_complex_array(x), plan, direction, mode), plan, mode, direction)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a decorator state is entered afresh per call, per thread
 def _values(x: np.ndarray, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
     """The pipeline's c values of a converted x: the fold's fresh sums, transformed and scaled there.
 
@@ -84,7 +83,7 @@ def _values(x: np.ndarray, plan: RicPlan, direction: Direction, mode: Normalizat
 
 
 def ric_dft(x, plan: RicPlan, mode: NormalizationMode = NormalizationMode.NONE) -> RicSpectrum:
-    """Forward path: values equal the full n-point DFT of x at indices k*L."""
+    """Forward path: values equal the full n-point DFT of x at indices k*L; finite, or SequenceError."""
     return _ric(x, plan, Direction.FORWARD, mode)
 
 
@@ -94,7 +93,7 @@ def ric_idft(
     """Inverse path: values equal the full n-point IDFT of the spectrum at n*L.
 
     The c-point FFT runs unscaled and the result is scaled once by the
-    requested 1/n (or 1/sqrt(n)), never by 1/c.
+    requested 1/n (or 1/sqrt(n)), never by 1/c.  Finite, or SequenceError.
     """
     return _ric(spectrum, plan, Direction.INVERSE, mode)
 
@@ -109,12 +108,15 @@ class VerificationReport:
     tolerance: float
 
 
+@_float_guard
 def compare_values(got, oracle, tolerance: float = 1e-9) -> VerificationReport:
     """Normwise comparison: max abs difference over the oracle's max magnitude.
 
     A negative or non-finite tolerance raises OutOfRangeError; input that
     is not a non-empty 1-d sequence raises SequenceError, and sequences of
-    different lengths raise LengthMismatchError.  NaN in ``got`` fails.
+    different lengths raise LengthMismatchError.  A non-finite ``oracle``
+    (or a magnitude beyond float64) raises SequenceError; NaN or Inf in
+    ``got``, or a difference that overflows, fails.
     """
     tolerance = _tolerance(tolerance)
     got, oracle = _complex_array(got), _complex_array(oracle)
@@ -124,13 +126,15 @@ def compare_values(got, oracle, tolerance: float = 1e-9) -> VerificationReport:
 
 
 def _report(difference: np.ndarray, oracle: np.ndarray, tolerance: float) -> VerificationReport:
-    """The report on got = oracle + ``difference``, two checked arrays of one shape."""
-    max_abs = float(np.abs(difference).max())
-    denom = float(np.abs(oracle).max())
+    """The report on got = oracle + ``difference``; the oracle's maximum is its finiteness check."""
+    max_abs, denom = float(np.abs(difference).max()), float(np.abs(oracle).max())
+    if not denom < np.inf:  # NaN compares false too
+        raise SequenceError("non-finite values in the oracle, or a magnitude that overflows float64")
     max_rel = max_abs / denom if denom > 0.0 else (0.0 if max_abs == 0.0 else float("inf"))
     return VerificationReport(max_abs, max_rel, passed=max_rel <= tolerance, tolerance=tolerance)
 
 
+@_float_guard
 def verify_against_oracle(
     x,
     plan: RicPlan,
@@ -145,7 +149,8 @@ def verify_against_oracle(
     Passes iff max_rel_error <= tolerance; a bad tolerance raises first,
     a wrong length before the oracle runs.  Each check runs once: x is
     converted once, and the pipeline's fresh values become the difference
-    in place, so the two compared arrays are all a call builds.
+    in place, so the two compared arrays are all a call builds.  Input
+    beyond float64, for the pipeline or the oracle, raises SequenceError.
     """
     tolerance = _tolerance(tolerance)
     x = _complex_array(x)
@@ -163,7 +168,7 @@ def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> 
     the plan and freed with it.  The fold, the c-point FFT and
     W_n**(l*m) = W_c**m go unused.  Checks nothing: the pipeline has accepted x
     (its length, and every value finite, so no NaN/Inf sample) and
-    direction and mode are members.
+    direction and mode are members; ``_report`` checks the rows' maximum.
     """
     if (blocks := plan.__dict__.get("_oracle_blocks")) is None:
         blocks = _twiddles(plan.n, plan.l)

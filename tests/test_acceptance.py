@@ -211,16 +211,17 @@ def test_criterion_7_performance_direction():
             f"mult ratio={mult_ratio:.0f}x, {elapsed:.1f}s)")
 
 
-def _npfft_over_ric(x, plan):
-    """Median np.fft.fft(x)[::l] time over median ric_dft time, 5 interleaved runs."""
-    runs = (("ric", lambda: ric_dft(x, plan)), ("npfft", lambda: np.fft.fft(x)[:: plan.l]))
+def _npfft_over_ric(x, plan, calls=1, runs=5):
+    """Median np.fft.fft(x)[::l] time over median ric_dft time, interleaved runs of ``calls`` calls."""
+    fns = (("ric", lambda: ric_dft(x, plan)), ("npfft", lambda: np.fft.fft(x)[:: plan.l]))
     times = {"ric": [], "npfft": []}
-    for _, fn in runs:  # warm-up
+    for _, fn in fns:  # warm-up
         fn()
-    for _ in range(5):
-        for name, fn in runs:
+    for _ in range(runs):
+        for name, fn in fns:
             start = time.perf_counter_ns()
-            fn()
+            for _ in range(calls):
+                fn()
             times[name].append(time.perf_counter_ns() - start)
     return statistics.median(times["npfft"]) / statistics.median(times["ric"])
 
@@ -261,6 +262,29 @@ def test_criterion_11_faster_than_npfft_for_every_divisor():
     _report(11, f"ric_dft beats np.fft.fft(x)[::l] at n = 24000 for all {len(ratios)} divisors c",
             len(ratios) == 54 and not slow and elapsed < 60.0,
             f" (slower at c = {slow or 'none'}, {elapsed:.1f}s)")
+
+
+def test_criterion_12_per_call_at_small_n():
+    # a call at n = 1024 or 4096 takes about 9 to 30 us, so each run times a loop
+    # of 200 calls; at n = 4096 ric_dft must be at or below np.fft.fft(x)[::l] for
+    # every power-of-two c (it reads 1.3x to 3.9x); at n = 1024 it may be up to
+    # 1/0.8 times slower, a margin set from the tightest cell, c = 512, which
+    # reads 0.97x to 1.04x (every other c 1.2x to 1.5x) on 2 shared x86-64 cores
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(12000)
+    slow, ratios = [], []
+    for n, floor in ((1024, 0.8), (4096, 1.0)):
+        x = random_complex(rng, n)
+        for c in _pow2_cs(n):
+            ratio = _npfft_over_ric(x, make_plan(n, c), calls=200, runs=7)
+            ratios.append(f"n={n}, c=2^{c.bit_length() - 1}: {ratio:.2f}x")
+            if ratio < floor:
+                slow.append((n, c))
+    elapsed = time.perf_counter() - t0
+    print("[criterion 12] np.fft time / ric_dft time: " + ", ".join(ratios))
+    _report(12, "ric_dft per call at n = 4096 at or below np.fft.fft(x)[::l] for every power-of-two c,"
+                " at n = 1024 within 1/0.8 of it",
+            not slow and elapsed < 60.0, f" (slower at (n, c) = {slow or 'none'}, {elapsed:.1f}s)")
 
 
 def test_criterion_8_planner_optimality():

@@ -16,6 +16,8 @@ from helpers import GOLDEN_FOLD, GOLDEN_FORWARD, GOLDEN_INVERSE_N, GOLDEN_X
 
 # 1e308, -1e308, 0, 0: at n = 4, c = 2 the column sums are finite, their transform is not
 OVERFLOW_CSV = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "overflow.csv")
+# 1e308, 0, 1e308, 0, -1e308, 0, -1e308, 0: at n = 8, c = 2 the pipeline's values are 0, the oracle's overflow
+ORACLE_OVERFLOW_CSV = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "oracle_overflow.csv")
 
 
 def run(*argv):
@@ -402,19 +404,22 @@ def test_usage_error_exit_code():
     (["idft", "--in", OVERFLOW_CSV, "--out", "{tmp}/o.csv", "--n", "4", "--c", "2"], 2),
     (["verify", "--in", OVERFLOW_CSV, "--n", "4", "--c", "2"], 2),
     (["verify", "--in", OVERFLOW_CSV, "--n", "4", "--c", "2", "--direction", "inverse"], 2),
+    # finite pipeline values whose oracle overflows float64
+    (["verify", "--in", ORACLE_OVERFLOW_CSV, "--n", "8", "--c", "2"], 2),
+    (["verify", "--in", ORACLE_OVERFLOW_CSV, "--n", "8", "--c", "2", "--direction", "inverse"], 2),
 ], ids=["bench-bad-list", "plan-bad-target", "synth-nan-amp", "dft-wrong-length",
         "verify-nan-tol", "verify-negative-tol", "plan-nan-tol", "verify-negative-seed",
         "bench-non-divisor", "plan-nan-target", "verify-huge-n", "synth-huge-n",
         "bench-c-above-half", "bench-no-pow2-c", "dft-not-utf8", "verify-in-and-random",
         "synth-unallocatable-n", "verify-unallocatable-n", "synth-overflow",
         "verify-bad-tol-missing-file", "dft-overflow", "idft-overflow", "verify-overflow",
-        "verify-inverse-overflow"])
+        "verify-inverse-overflow", "verify-oracle-overflow", "verify-inverse-oracle-overflow"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, code):
     write_signal(GOLDEN_X, tmp_path / "x.csv")  # 8 samples: wrong length for n = 16
     (tmp_path / "b.csv").write_bytes(b"\xff\xfe1,2\n1,2\n1,2\n1,2\n")  # not UTF-8
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ricdft.__file__)))
     proc = subprocess.run(
-        [sys.executable, "-m", "ricdft"] + [a.format(tmp=tmp_path) for a in argv],
+        [sys.executable, "-W", "error", "-m", "ricdft"] + [a.format(tmp=tmp_path) for a in argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == code, proc.stderr

@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -375,6 +376,23 @@ def test_output_never_aliases_or_changes_input(engine_fn):
 def test_transform_rejects_bad_sequences(bad):
     with pytest.raises(SequenceError):
         transform(bad)
+
+
+@pytest.mark.parametrize("engine_fn", [transform, dft_direct])
+def test_transform_that_overflows_raises_the_typed_error(engine_fn):
+    # finite samples whose sum overflows float64 (X[0] = 1e308 + 1e308, and the
+    # unscaled inverse's x[0]): SequenceError with the pipeline's message, in
+    # either direction and every mode, and no numpy warning even when the
+    # caller's error state raises; that state is the caller's again afterwards
+    outside = np.geterr()
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for direction, mode in itertools.product(Direction, NormalizationMode):
+            with pytest.raises(SequenceError) as err:
+                engine_fn([1e308, 1e308], direction, mode)
+            assert str(err.value) == "non-finite values in the transform, which overflows float64"
+        assert np.geterr()["over"] == "raise"
+    assert np.geterr() == outside
 
 
 def test_fft_rejects_non_power_of_two():

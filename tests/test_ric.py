@@ -3,8 +3,10 @@ import gc
 import importlib
 import itertools
 import math
+import os
 import pickle
 import tracemalloc
+import warnings
 import weakref
 from fractions import Fraction
 
@@ -26,10 +28,12 @@ from ricdft import (
     fold,
     make_plan,
     op_counts,
+    read_signal,
     ric_dft,
     ric_idft,
     ric_index_set,
     ric_op_counts,
+    synthesize_tones,
     transform,
     verify_against_oracle,
 )
@@ -519,6 +523,68 @@ def test_compare_values_rejects_mismatched_input():
         with pytest.raises(SequenceError):
             compare_values(got, oracle)
     assert not compare_values([np.nan, 1], [1, 1]).passed
+
+
+ORACLE_OVERFLOW = "non-finite values in the oracle, or a magnitude that overflows float64"
+
+
+def test_compare_values_overflow_fails_and_a_non_finite_oracle_raises():
+    # a difference beyond float64 is a failing report, not a warning; a NaN/Inf
+    # reference, or one whose magnitude overflows (|1.5e308 + 1.5e308j| > max
+    # float), raises SequenceError, read off the maximum the report takes
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        report = compare_values([1e308], [-1e308])
+        assert (report.max_abs_error, report.max_rel_error, report.passed) == (math.inf, math.inf, False)
+        for oracle in ([np.nan], [1, np.inf], [-np.inf + 1j], [1.5e308 + 1.5e308j]):
+            with pytest.raises(SequenceError) as err:
+                compare_values(np.zeros(len(oracle)), oracle)
+            assert str(err.value) == ORACLE_OVERFLOW, oracle
+
+
+def test_verify_raises_when_only_the_oracle_overflows():
+    # 1e308, 0, 1e308, 0, -1e308, 0, -1e308, 0 at n = 8, c = 2: the fold's sums
+    # cancel, so the pipeline's values are 0, but the oracle's residue sums
+    # reach 2e308; verify raises SequenceError in both directions and every
+    # mode, with no numpy warning, rather than reporting a failure
+    x = read_signal(os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                                 "oracle_overflow.csv"))
+    plan = make_plan(8, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for direction, mode in itertools.product(Direction, NormalizationMode):
+            run = ric_dft if direction is F else ric_idft
+            assert not run(x, plan, mode).values.any()
+            with pytest.raises(SequenceError) as err:
+                verify_against_oracle(x, plan, mode, direction)
+            assert str(err.value) == ORACLE_OVERFLOW, (direction, mode)
+    # finite oracle values whose magnitude overflows: against an infinite
+    # maximum any finite error would read a max_rel_error of 0, a false pass
+    with pytest.raises(SequenceError) as err:
+        verify_against_oracle([1.7e308, 1.7e308j, 0, 0], make_plan(4, 2))
+    assert str(err.value) == ORACLE_OVERFLOW
+
+
+def test_every_public_computation_keeps_the_callers_error_state():
+    # each runs under the package's one guard: on values beyond float64 it
+    # raises its typed error (or, for compare_values, fails its report) with
+    # no warning under a raising error state, and that state is kept
+    plan, big = make_plan(4, 2), np.array([1e308, -1e308, 0, 0], dtype=complex)
+    calls = [lambda: fold(np.full(4, 1e308), plan), lambda: ric_dft(big, plan),
+             lambda: ric_idft(big, plan), lambda: verify_against_oracle(big, plan),
+             lambda: transform([1e308, 1e308]), lambda: dft_direct([1e308, 1e308]),
+             lambda: synthesize_tones(4, [(1, 1e308, 0), (1, 1e308, 0)])]
+    outside = np.geterr()
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        inside = np.geterr()
+        for call in calls:
+            with pytest.raises((SequenceError, OutOfRangeError)):
+                call()
+            assert np.geterr() == inside
+        assert not compare_values([1e308], [-1e308]).passed
+        assert np.geterr() == inside
+    assert np.geterr() == outside
 
 
 def test_entries_view():
