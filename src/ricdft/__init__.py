@@ -14,6 +14,8 @@ under a guard, and where it is missing the public path that gives the same
 result runs instead: the ``np.fft`` wrappers, and the csv line loop.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     Direction,
     LengthMismatchError,
@@ -59,43 +61,7 @@ from .ric import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Assignment",
-    "Direction",
-    "FoldedSequence",
-    "InfeasibleError",
-    "LengthMismatchError",
-    "NonDivisorError",
-    "NormalizationMode",
-    "OpCounter",
-    "OutOfRangeError",
-    "PlanProposal",
-    "RicPlan",
-    "RicSpectrum",
-    "RicdftError",
-    "SequenceError",
-    "SignalFileError",
-    "SignalFormat",
-    "VerificationReport",
-    "as_complex_sequence",
-    "compare_values",
-    "correction_factor",
-    "coverage_report",
-    "dft_direct",
-    "fold",
-    "fold_spectrum",
-    "is_power_of_two",
-    "make_plan",
-    "op_counts",
-    "plan_for_frequencies",
-    "read_signal",
-    "ric_dft",
-    "ric_idft",
-    "ric_index_set",
-    "ric_op_counts",
-    "synthesize_tones",
-    "transform",
-    "verify_against_oracle",
-    "write_signal",
-    "write_spectrum",
-]
+# Every public name bound above; the submodules stay out, so that ``from
+# ricdft import *`` never shadows the standard library's ``io``.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

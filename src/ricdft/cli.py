@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .core import Direction, NormalizationMode, OutOfRangeError, RicdftError, RicPlan, _size, _tolerance
+from .core import Direction, NormalizationMode, RicdftError, RicPlan, _allocated, _size, _tolerance
 from .engine import op_counts
 from .fold import _fold_counts, fold
 from .io import (_SPECTRUM_FORMATS, SignalFileError, SignalFormat, read_signal, synthesize_tones,
@@ -102,10 +102,7 @@ def cmd_verify(args) -> int:
         raise RicdftError("give either --in FILE or --random, not both")
     if args.random:
         rng = np.random.default_rng(_size("seed", args.seed))
-        try:
-            x = rng.standard_normal(plan.n) + 1j * rng.standard_normal(plan.n)
-        except ValueError:  # numpy: n * itemsize overflows its size type ("array is too big")
-            raise OutOfRangeError(f"n={plan.n} is too large to allocate") from None
+        x = _allocated(plan.n, lambda: rng.standard_normal(plan.n) + 1j * rng.standard_normal(plan.n))
     else:
         x = read_signal(args.infile, args.in_format)
     report = verify_against_oracle(x, plan, args.mode, args.direction, tol)

@@ -107,7 +107,7 @@ class RicPlan:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
 
-    def __getstate__(self):  # a copy rebuilds, read-only, what ricdft.ric keeps on the plan
+    def __getstate__(self):  # a copy leaves out the oracle record ricdft.ric keeps on the plan
         return {"n": self.n, "c": self.c}
 
     @property
@@ -160,9 +160,16 @@ def _tolerance(tol) -> float:
     return _real("tolerance", tol, 0.0)
 
 
-def make_plan(n: int, c: int) -> RicPlan:
-    """Build the plan folding an n-point sequence down to c points: ``RicPlan(n, c)``."""
-    return RicPlan(n, c)
+def _allocated(n: int, make):
+    """make(), which builds arrays of n samples; numpy's "array is too big" raises OutOfRangeError."""
+    try:
+        return make()
+    except ValueError:  # numpy: n * itemsize overflows its size type
+        raise OutOfRangeError(f"n={_shown(n)} is too large to allocate") from None
+
+
+# The plan folding an n-point sequence down to c points, under its function name.
+make_plan = RicPlan
 
 
 # ---------------------------------------------------------------------------

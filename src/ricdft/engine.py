@@ -33,7 +33,7 @@ except ImportError:  # unscaled: "forward" leaves the inverse so
     _pocket_ifft = lambda x, fct, axes, out: np.fft.ifft(x, norm="forward", out=out)
 
 from .core import (Direction, NormalizationMode, OpCounter, _finite, _float_guard, _member, _scale,
-                   _tally, as_complex_sequence, is_power_of_two)
+                   _size, _tally, as_complex_sequence, is_power_of_two)
 
 # Twiddle tables and DFT matrices kept at once: a verify reads one of each, a
 # second serves a caller alternating two lengths.  Each costs O(m) to build.
@@ -76,7 +76,9 @@ def op_counts(m: int) -> tuple[int, int]:
     product counts, by 1, -1 or +-j too; m gets radix-2's count when it is
     a power of two.  :func:`transform` tallies this and :func:`dft_direct`
     the definition's at every m, not the work that runs; scaling is not counted.
+    m is an integer size of at least 1, else OutOfRangeError.
     """
+    m = _size("m", m, 1)
     if is_power_of_two(m):
         stages = m.bit_length() - 1
         return m * stages, (m // 2) * stages

@@ -36,8 +36,8 @@ try:  # numpy-private, by the package's rule: missing, the line loop reads every
 except ImportError:
     _load_from_filelike = None
 
-from .core import (OutOfRangeError, RicdftError, _member, _float_guard, _real, _shown, _size,
-                   as_complex_sequence)
+from .core import (OutOfRangeError, RicdftError, _allocated, _member, _float_guard, _real, _shown,
+                   _size, as_complex_sequence)
 
 
 class SignalFormat(str, Enum):
@@ -173,14 +173,14 @@ def write_spectrum(spectrum, path, fmt="csv"):
     kind = str(fmt).lower() if isinstance(fmt, str) else None
     if kind not in _SPECTRUM_FORMATS:
         raise OutOfRangeError(f"unknown spectrum format {_shown(fmt)}")
-    z = spectrum.values
-    rows = list(zip(range(z.size), spectrum.indices.tolist(), z.real.tolist(), z.imag.tolist()))
+    z, plan = spectrum.values, spectrum.plan
+    rows = list(zip(range(z.size), range(0, plan.n, plan.l), z.real.tolist(), z.imag.tolist()))
     if kind == "csv":
         with open(path, "w", newline="") as fh:
             fh.write("k,index,re,im\n")
             fh.writelines(f"{k},{idx},{re!r},{im!r}\n" for k, idx, re, im in rows)
         return
-    header = {"n": spectrum.plan.n, "c": spectrum.plan.c, "l": spectrum.plan.l,
+    header = {"n": plan.n, "c": plan.c, "l": plan.l,
               "mode": spectrum.mode.value, "direction": spectrum.direction.value}
     head = ",\n".join(f"    {json.dumps(key)}: {json.dumps(value)}" for key, value in header.items())
     body = ",".join(f'\n    {{\n      "k": {k},\n      "index": {idx},\n      "re": {_json_float(re)},\n'
@@ -207,12 +207,13 @@ def synthesize_tones(n: int, tones) -> np.ndarray:
     accurate to machine precision.
     """
     n = _size("n", n, 1)
-    try:
-        m = np.arange(n, dtype=np.int64)
-        x = np.zeros(n, dtype=np.complex128)
-    except ValueError:  # numpy: n * itemsize overflows its size type ("array is too big")
-        raise OutOfRangeError(f"n={n} is too large to allocate") from None
-    for bin_idx, amp, phase in tones:
+    m, x = _allocated(n, lambda: (np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.complex128)))
+    for tone in tones:
+        try:
+            bin_idx, amp, phase = tone
+        except (TypeError, ValueError):  # not iterable, or other than three items
+            raise OutOfRangeError(
+                f"tone {_shown(tone)} is not a (bin, amplitude, phase) triple") from None
         bin_idx, amp, phase = _size("tone bin", bin_idx), _real("amplitude", amp), _real("phase", phase)
         if bin_idx >= n:
             raise OutOfRangeError(f"tone bin {_shown(bin_idx)} outside [0, {n - 1}]")

@@ -23,31 +23,33 @@ import numpy as np
 
 from .core import (Direction, LengthMismatchError, NormalizationMode, RicPlan, SequenceError,
                    _complex_array, _member, _float_guard, _tolerance)
-from .engine import _direct_rows, _fft, _read_only, _scaled, _twiddles, op_counts
+from .engine import _direct_rows, _fft, _scaled, _twiddles, op_counts
 from .fold import _checked, _fold, _fold_counts
 
 
 @dataclass(frozen=True)
 class RicSpectrum:
-    """c transform values at their n-point indices k*L, the plan's :func:`ric_index_set`."""
+    """c transform values at their n-point indices k*L, which follow from the plan."""
 
-    indices: np.ndarray
     values: np.ndarray
     plan: RicPlan
     mode: NormalizationMode
     direction: Direction
 
     @property
+    def indices(self) -> np.ndarray:
+        """The plan's :func:`ric_index_set`."""
+        return ric_index_set(self.plan)
+
+    @property
     def entries(self) -> list[tuple[int, complex]]:
         """(original_index, value) pairs in ascending index order."""
-        return list(zip(self.indices.tolist(), self.values.tolist()))
+        return list(zip(range(0, self.plan.n, self.plan.l), self.values.tolist()))
 
 
 def ric_index_set(plan: RicPlan) -> np.ndarray:
-    """Indices {0, L, ..., (C-1)L}: read-only int64, built once per plan and kept on it (8c bytes)."""
-    if (indices := plan.__dict__.get("_indices")) is None:
-        indices = plan.__dict__["_indices"] = _read_only(np.arange(0, plan.n, plan.l, dtype=np.int64))
-    return indices
+    """Indices {0, L, ..., (C-1)L} as a new int64 array."""
+    return np.arange(0, plan.n, plan.l, dtype=np.int64)
 
 
 def ric_op_counts(plan: RicPlan) -> tuple[int, int]:
@@ -69,8 +71,7 @@ def _ric(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> Ric
     take a member or its string value; the spectrum records the member.
     """
     direction, mode = _member(Direction, direction), _member(NormalizationMode, mode)
-    indices = ric_index_set(plan)
-    return RicSpectrum(indices, _values(_complex_array(x), plan, direction, mode), plan, mode, direction)
+    return RicSpectrum(_values(_complex_array(x), plan, direction, mode), plan, mode, direction)
 
 
 def _values(x: np.ndarray, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:

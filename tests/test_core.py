@@ -1,9 +1,11 @@
 import dataclasses
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import ricdft
 from ricdft import (
     Direction,
     NonDivisorError,
@@ -62,7 +64,7 @@ def test_make_plan_errors():
 
 
 def test_ric_plan_checks_itself():
-    assert RicPlan(8, 4) == make_plan(8, 4)
+    assert make_plan is RicPlan
     assert [f.name for f in dataclasses.fields(RicPlan)] == ["n", "c"]
     too_long = Fraction(10**5000)  # integral in value, but no int and too long to print
     for n, c in ((8.0, 4.0), (8, 4.0), (True, 2), (8, True), (16, 1), (16, 12), (16, 16), (2, 2),
@@ -158,3 +160,24 @@ def test_op_counter():
     _tally(ctr, (1, 3))
     assert ctr == OpCounter(complex_adds=5, complex_mults=3)
     assert repr(ctr) == "OpCounter(complex_adds=5, complex_mults=3)"
+
+
+PUBLIC_NAMES = [
+    "Assignment", "Direction", "FoldedSequence", "InfeasibleError", "LengthMismatchError",
+    "NonDivisorError", "NormalizationMode", "OpCounter", "OutOfRangeError", "PlanProposal",
+    "RicPlan", "RicSpectrum", "RicdftError", "SequenceError", "SignalFileError", "SignalFormat",
+    "VerificationReport", "as_complex_sequence", "compare_values", "correction_factor",
+    "coverage_report", "dft_direct", "fold", "fold_spectrum", "is_power_of_two", "make_plan",
+    "op_counts", "plan_for_frequencies", "read_signal", "ric_dft", "ric_idft", "ric_index_set",
+    "ric_op_counts", "synthesize_tones", "transform", "verify_against_oracle", "write_signal",
+    "write_spectrum",
+]
+
+
+def test_public_names_are_the_38_and_star_import_binds_no_module():
+    assert ricdft.__all__ == PUBLIC_NAMES
+    namespace = {}
+    exec("from ricdft import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC_NAMES
+    assert not any(isinstance(value, types.ModuleType) for value in namespace.values())

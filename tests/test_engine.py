@@ -14,6 +14,7 @@ from ricdft import (
     Direction,
     NormalizationMode,
     OpCounter,
+    OutOfRangeError,
     SequenceError,
     dft_direct,
     is_power_of_two,
@@ -424,6 +425,18 @@ def test_transform_is_one_path_with_reference_counts():
             want_ctr = radix2_ctr if is_power_of_two(m) else direct_ctr
             want = (want_ctr.complex_adds, want_ctr.complex_mults)
             assert (got_ctr.complex_adds, got_ctr.complex_mults) == want == engine.op_counts(m), m
+
+
+def test_op_counts_rejects_a_length_that_is_no_positive_integer():
+    for m in (-4, 0, True, 8.0, "8", None, -10**5000):
+        with pytest.raises(OutOfRangeError):
+            engine.op_counts(m)
+
+
+def test_op_counts_at_length_one_and_numpy_integers():
+    assert engine.op_counts(1) == (0, 0)
+    assert engine.op_counts(np.int64(8)) == engine.op_counts(8) == (24, 12)
+    assert engine.op_counts(np.int32(24)) == engine.op_counts(24) == (24 * 23, 24 * 24)
 
 
 def test_fft_has_np_fft_bits_with_or_without_its_ufuncs(monkeypatch):

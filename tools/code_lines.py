@@ -7,7 +7,8 @@ A line counts when some token on it is code.  Comments, blank lines and
 docstrings do not count: a docstring is the string expression that opens
 a module, class or function body (found by ``ast``), and every line it
 spans is left out.  A multi-line string that is not a docstring counts on
-each line it spans.  Prints one row per file and the total.
+each line it spans.  Prints one row per file, its code lines beside its
+physical lines (what ``wc -l`` counts), and the totals of both.
 """
 
 import ast
@@ -31,8 +32,8 @@ def docstring_lines(source: str) -> set[int]:
     return lines
 
 
-def code_lines(path) -> int:
-    """The number of code lines in the Python file at ``path``."""
+def line_counts(path) -> tuple[int, int]:
+    """(code lines, physical lines) of the Python file at ``path``."""
     with tokenize.open(path) as fh:
         source = fh.read()
     skipped, lines = docstring_lines(source), set()
@@ -40,16 +41,18 @@ def code_lines(path) -> int:
         for tok in tokenize.tokenize(fh.readline):
             if tok.type not in _SKIPPED:
                 lines.update(n for n in range(tok.start[0], tok.end[0] + 1) if n not in skipped)
-    return len(lines)
+    return len(lines), source.count("\n")
 
 
 def main(argv) -> int:
     paths = argv or sorted(str(p) for p in pathlib.Path("src/ricdft").glob("*.py"))
-    counts = {path: code_lines(path) for path in paths}
+    counts = {path: line_counts(path) for path in paths}
     width = max(map(len, counts))
-    for path, count in counts.items():
-        print(f"{path:<{width}}  {count:5d}")
-    print(f"{'total':<{width}}  {sum(counts.values()):5d}")
+    print(f"{'file':<{width}}  {'code':>5}  {'lines':>5}")
+    for path, (code, physical) in counts.items():
+        print(f"{path:<{width}}  {code:5d}  {physical:5d}")
+    code, physical = map(sum, zip(*counts.values()))
+    print(f"{'total':<{width}}  {code:5d}  {physical:5d}")
     return 0
 
 
