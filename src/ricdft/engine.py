@@ -128,21 +128,28 @@ def _direct_rows(x: np.ndarray, direction: Direction, blocks: _RowBlocks) -> np.
     _DEPTH over two or more residues (one takes BLAS's vector path, which
     rounds differently) summed in depth order, G's over all B columns of F.
     The inverse reads the forward twiddles: conj(T)*X, conj(G of w*conj(Y)).
+    Row P*i + p lands at out[i, p].  A row set of one chunk, as every row
+    set at n = 4096 is, takes its gather from G as the output, and a B of
+    at most _DEPTH takes G as one product; only several chunks write
+    their gathers into a preallocated output.
     """
     xt, inverse = x.reshape(-1, blocks.b), direction is Direction.INVERSE  # xt[j2, j1] = x[j1 + B*j2]
-    f, out = _dft_matrix(x.size, blocks.b), np.empty(blocks.rows, complex)  # row P*i + p at out[i, p]
-    p0 = 0
+    f, out, p0 = _dft_matrix(x.size, blocks.b), None, 0
     for ts, w, at in blocks.chunks:  # one chunk of Y's rows, one gathered depth slice alive at a time
         y = g = None
         for d, t in ts:  # each sum goes into its first product
             product = (t.conj() if inverse else t) @ xt[d]
             y = product if y is None else np.add(y, product, out=y)
         y = np.multiply(np.conjugate(y, out=y) if inverse else y, w, out=y)
-        for d in range(0, blocks.b, _DEPTH):
-            product = y[:, d:d + _DEPTH] @ f[d:d + _DEPTH]
+        for d in range(0, blocks.b, _DEPTH):  # one slice, no views, when it covers B
+            product = y[:, d:d + _DEPTH] @ f[d:d + _DEPTH] if blocks.b > _DEPTH else y @ f
             g = product if g is None else np.add(g, product, out=g)
-        out[:, p0:p0 + at.shape[1]] = g.reshape(-1)[at]
-        p0 += at.shape[1]
+        if at.shape[1] == blocks.rows[1]:  # all P places: the only chunk
+            out = g.reshape(-1)[at]
+        else:
+            out = np.empty(blocks.rows, complex) if out is None else out
+            out[:, p0:p0 + at.shape[1]] = g.reshape(-1)[at]
+            p0 += at.shape[1]
     return np.conjugate(out, out=out).reshape(-1) if inverse else out.reshape(-1)
 
 

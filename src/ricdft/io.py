@@ -38,6 +38,7 @@ except ImportError:
 
 from .core import (OutOfRangeError, RicdftError, _allocated, _member, _float_guard, _real, _shown,
                    _size, as_complex_sequence)
+from .ric import _index_range
 
 
 class SignalFormat(str, Enum):
@@ -168,13 +169,14 @@ def write_spectrum(spectrum, path, fmt="csv"):
     """Write a :class:`ricdft.ric.RicSpectrum`'s coefficients as csv (k,index,re,im) or json.
 
     The json document holds a header record with the plan and conventions
-    plus the list of entry records.
+    plus the list of entry records.  A spectrum that does not hold its
+    plan's c values raises LengthMismatchError before the file is opened.
     """
     kind = str(fmt).lower() if isinstance(fmt, str) else None
     if kind not in _SPECTRUM_FORMATS:
         raise OutOfRangeError(f"unknown spectrum format {_shown(fmt)}")
     z, plan = spectrum.values, spectrum.plan
-    rows = list(zip(range(z.size), range(0, plan.n, plan.l), z.real.tolist(), z.imag.tolist()))
+    rows = list(zip(range(z.size), _index_range(spectrum), z.real.tolist(), z.imag.tolist()))
     if kind == "csv":
         with open(path, "w", newline="") as fh:
             fh.write("k,index,re,im\n")
@@ -185,9 +187,8 @@ def write_spectrum(spectrum, path, fmt="csv"):
     head = ",\n".join(f"    {json.dumps(key)}: {json.dumps(value)}" for key, value in header.items())
     body = ",".join(f'\n    {{\n      "k": {k},\n      "index": {idx},\n      "re": {_json_float(re)},\n'
                     f'      "im": {_json_float(im)}\n    }}' for k, idx, re, im in rows)
-    close = "\n  ]" if rows else "]"
     with open(path, "w") as fh:  # one write: json.dump writes each token
-        fh.write(f'{{\n  "header": {{\n{head}\n  }},\n  "entries": [{body}{close}\n}}\n')
+        fh.write(f'{{\n  "header": {{\n{head}\n  }},\n  "entries": [{body}\n  ]\n}}\n')
 
 
 def _json_float(v: float) -> str:

@@ -43,8 +43,16 @@ class RicSpectrum:
 
     @property
     def entries(self) -> list[tuple[int, complex]]:
-        """(original_index, value) pairs in ascending index order."""
-        return list(zip(range(0, self.plan.n, self.plan.l), self.values.tolist()))
+        """(original_index, value) pairs in ascending index order; LengthMismatchError unless c values."""
+        return list(zip(_index_range(self), self.values.tolist()))
+
+
+def _index_range(spectrum: RicSpectrum) -> range:
+    """The indices k*L of a spectrum's entries; LengthMismatchError unless it holds its plan's c values."""
+    size, plan = spectrum.values.size, spectrum.plan
+    if size != plan.c:
+        raise LengthMismatchError(f"spectrum has {size} values, plan expects {plan.c}")
+    return range(0, plan.n, plan.l)
 
 
 def ric_index_set(plan: RicPlan) -> np.ndarray:

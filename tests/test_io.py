@@ -7,6 +7,7 @@ import pytest
 
 import ricdft.io
 from ricdft import (
+    LengthMismatchError,
     NormalizationMode,
     OutOfRangeError,
     SignalFileError,
@@ -191,6 +192,23 @@ def test_write_spectrum_format_in_any_case(tmp_path):
         for spelling in (kind.upper(), kind.capitalize()):
             write_spectrum(spectrum, got, spelling)
             assert got.read_bytes() == want.read_bytes(), spelling
+
+
+@pytest.mark.parametrize("size", (6, 3, 0))
+def test_spectrum_of_another_count_than_c_raises_and_writes_nothing(tmp_path, size):
+    # plan (8, 4) holds 4 values: 6 would lose 2, and 3 or none would write a
+    # short file; csv and json raise before the file is opened, and entries raises
+    spectrum = ric_dft(GOLDEN_X, make_plan(8, 4), NormalizationMode.NONE)
+    spectrum = dataclasses.replace(spectrum, values=np.arange(size, dtype=np.complex128))
+    message = f"spectrum has {size} values, plan expects 4"
+    for kind in ("csv", "json"):
+        with pytest.raises(LengthMismatchError) as excinfo:
+            write_spectrum(spectrum, tmp_path / f"spec.{kind}", kind)
+        assert str(excinfo.value) == message
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(LengthMismatchError) as excinfo:
+        spectrum.entries
+    assert str(excinfo.value) == message
 
 
 def test_write_spectrum_bad_path(tmp_path):
@@ -445,9 +463,8 @@ def test_json_spectrum_bytes_match_json_dumps(tmp_path, case):
     [complex(1.0, -math.inf), 0, 0, 0],
     [complex(math.nan, -0.0), 1, 2, 3],
     [complex(-math.inf, 0.5), complex(2.0, math.inf), 0, 0],
-    [complex(math.copysign(math.nan, -1.0), 1.0), complex(0.5, math.copysign(math.nan, -1.0))],
-    [],
-], ids=["inf", "minus-inf", "nan", "minus-inf-re-inf-im", "sign-bit-nan", "no-entries"])
+    [complex(math.copysign(math.nan, -1.0), 1.0), complex(0.5, math.copysign(math.nan, -1.0)), 0, 0],
+], ids=["inf", "minus-inf", "nan", "minus-inf-re-inf-im", "sign-bit-nan"])
 def test_json_spectrum_of_hand_built_values_bytes_match_json_dumps(tmp_path, values):
     spectrum = ric_dft(GOLDEN_X, make_plan(8, 4), NormalizationMode.NONE)
     spectrum = dataclasses.replace(spectrum, values=np.array(values, dtype=np.complex128))

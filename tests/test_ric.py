@@ -251,6 +251,27 @@ def test_one_c_point_buffer_per_call(run, c):
     assert peak < 16 * c + 8192, (peak, 16 * c)
 
 
+@pytest.mark.parametrize("c", (8, 64, 512))
+@pytest.mark.parametrize("direction", (F, I))
+def test_one_c_point_array_per_kept_oracle_call(direction, c):
+    # n = 4096 splits as B = M = 64, and each kept record is one chunk of
+    # P' = max(2, P) residues (2, 2 and 8): Y and G, (P', B) complex each,
+    # then the c rows (16c bytes), gathered from G as the output, plus under
+    # 1 KiB of array headers (16c + 528 to 816 bytes over Y and G was
+    # measured); a preallocated output written from a gathered copy holds
+    # a second c-point array (16c + 1,192 to 8,928 bytes over Y and G)
+    x, plan = random_complex(np.random.default_rng(c), 4096), make_plan(4096, c)
+    ricdft.ric._oracle(x, plan, direction, NONE)
+    (_, w, _), = vars(plan)["_oracle_blocks"].chunks
+    tracemalloc.start()
+    try:
+        ricdft.ric._oracle(x, plan, direction, NONE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * w.nbytes + 16 * c + 1024, (peak, w.shape, 16 * c)
+
+
 def test_verify_against_oracle_golden_signal():
     report = verify_against_oracle(GOLDEN_X, make_plan(8, 4), NONE, F)
     assert report.passed
