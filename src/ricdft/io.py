@@ -169,8 +169,9 @@ def write_spectrum(spectrum, path, fmt="csv"):
     """Write a :class:`ricdft.ric.RicSpectrum`'s coefficients as csv (k,index,re,im) or json.
 
     The json document holds a header record with the plan and conventions
-    plus the list of entry records.  A spectrum that does not hold its
-    plan's c values raises LengthMismatchError before the file is opened.
+    plus the list of entry records.  A spectrum whose values are not its
+    plan's c values in one axis raises LengthMismatchError before the file
+    is opened.
     """
     kind = str(fmt).lower() if isinstance(fmt, str) else None
     if kind not in _SPECTRUM_FORMATS:

@@ -43,15 +43,16 @@ class RicSpectrum:
 
     @property
     def entries(self) -> list[tuple[int, complex]]:
-        """(original_index, value) pairs in ascending index order; LengthMismatchError unless c values."""
+        """(original_index, value) pairs in ascending index order; LengthMismatchError unless shape (c,)."""
         return list(zip(_index_range(self), self.values.tolist()))
 
 
 def _index_range(spectrum: RicSpectrum) -> range:
-    """The indices k*L of a spectrum's entries; LengthMismatchError unless it holds its plan's c values."""
-    size, plan = spectrum.values.size, spectrum.plan
-    if size != plan.c:
-        raise LengthMismatchError(f"spectrum has {size} values, plan expects {plan.c}")
+    """The indices k*L of a spectrum's entries; LengthMismatchError unless its values have shape (c,)."""
+    values, plan = spectrum.values, spectrum.plan
+    if values.shape != (plan.c,):
+        held = f"{values.size} values" if values.ndim == 1 else f"values of shape {values.shape}"
+        raise LengthMismatchError(f"spectrum has {held}, plan expects {plan.c}")
     return range(0, plan.n, plan.l)
 
 

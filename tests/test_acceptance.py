@@ -211,10 +211,10 @@ def test_criterion_7_performance_direction():
             f"mult ratio={mult_ratio:.0f}x, {elapsed:.1f}s)")
 
 
-def _npfft_over_ric(x, plan, calls=1, runs=5):
-    """Median np.fft.fft(x)[::l] time over median ric_dft time, interleaved runs of ``calls`` calls."""
-    fns = (("ric", lambda: ric_dft(x, plan)), ("npfft", lambda: np.fft.fft(x)[:: plan.l]))
-    times = {"ric": [], "npfft": []}
+def _median_ratio(top, bottom, calls, runs):
+    """Median time of ``top`` over median time of ``bottom``, in interleaved runs of ``calls`` calls."""
+    fns = (("bottom", bottom), ("top", top))
+    times = {"bottom": [], "top": []}
     for _, fn in fns:  # warm-up
         fn()
     for _ in range(runs):
@@ -223,7 +223,12 @@ def _npfft_over_ric(x, plan, calls=1, runs=5):
             for _ in range(calls):
                 fn()
             times[name].append(time.perf_counter_ns() - start)
-    return statistics.median(times["npfft"]) / statistics.median(times["ric"])
+    return statistics.median(times["top"]) / statistics.median(times["bottom"])
+
+
+def _npfft_over_ric(x, plan, calls=1, runs=5):
+    """Median np.fft.fft(x)[::l] time over median ric_dft time, interleaved runs of ``calls`` calls."""
+    return _median_ratio(lambda: np.fft.fft(x)[:: plan.l], lambda: ric_dft(x, plan), calls, runs)
 
 
 def test_criterion_10_faster_than_npfft_for_every_c():
@@ -284,6 +289,27 @@ def test_criterion_12_per_call_at_small_n():
     print("[criterion 12] np.fft time / ric_dft time: " + ", ".join(ratios))
     _report(12, "ric_dft per call at n = 4096 at or below np.fft.fft(x)[::l] for every power-of-two c,"
                 " at n = 1024 within 1/0.8 of it",
+            not slow and elapsed < 60.0, f" (slower at (n, c) = {slow or 'none'}, {elapsed:.1f}s)")
+
+
+def test_criterion_13_fold_at_copy_speed_for_odd_l():
+    # at odd l the fold reads its frame in rows of r*c values and adds the l mod r
+    # rows left over, instead of l rows of c values (5 to 7 times a copy at
+    # these plans); a fold takes 0.4 to 0.7 ms here, so each run times a loop
+    # of 5 calls, and the fold must take at most 1.5 times an n-point copy (it
+    # reads 0.5x to 0.7x on 2 shared x86-64 cores)
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(13000)
+    slow, ratios = [], []
+    for n, c in ((2 * 524_287, 2), (3 ** 12, 3)):
+        x, plan = random_complex(rng, n), make_plan(n, c)
+        ratio = _median_ratio(lambda: fold(x, plan), x.copy, calls=5, runs=7)
+        ratios.append(f"n={n}, c={c}: {ratio:.2f}x")
+        if ratio > 1.5:
+            slow.append((n, c))
+    elapsed = time.perf_counter() - t0
+    print("[criterion 13] fold time / n-point copy time: " + ", ".join(ratios))
+    _report(13, "fold at odd l within 1.5x of an n-point copy at n = 2 * 524287 and n = 3^12",
             not slow and elapsed < 60.0, f" (slower at (n, c) = {slow or 'none'}, {elapsed:.1f}s)")
 
 

@@ -43,8 +43,8 @@ def test_fold_zeros_and_impulse():
 
 
 def test_fold_matches_double_loop_oracle():
-    # every shape the two-pass kernel can take: odd l, prime c, l = 2, and
-    # depths that are halved once, several times or not at all
+    # every path of the kernel's rule: odd l with rows left over, prime c,
+    # l = 2, and rows widened once, several times or not at all
     rng = np.random.default_rng(11)
     for n in (8, 12, 24, 30, 45, 60, 64, 6720, 2 ** 16):
         for c, l in divisor_pairs(n):
@@ -116,15 +116,58 @@ def test_fold_composition():
     np.testing.assert_allclose(two_step, one_step, rtol=0, atol=1e-12)
 
 
-def test_fold_without_widening_is_one_column_sum():
-    # l odd or l <= c leaves the width at c, so the fold is one pass of column sums
+def _columns(a, w):
+    # one reduce of a's rows of w values over axis 0
+    return np.add.reduce(a.reshape(-1, w), axis=0)
+
+
+def _with_rows_left_over(x, w, k, c):
+    # the q rows of w values, then the k*c values left over added to the
+    # leading sums, then those w sums folded to c by one reduce
+    out = _columns(x[:len(x) - k * c], w)
+    out[:k * c] += x[len(x) - k * c:]
+    return out
+
+
+# (n, c, the sums by explicit reduces), each derived by hand from fold's rule:
+# r doubles from 1 while l > r*r*c, or while n >= 2^16 and r*c < 1024;
+# the q = l // r rows of r*c values are reduced, the l mod r rows left over
+# added to the leading sums, and the r*c sums folded again by the rule when
+# r > 128, else by one (r, c) reduce
+ORDER_PINS = {
+    "one-pass": [
+        (24, 8, lambda x: _columns(x, 8)),  # l = 3 <= r*r*c = 8
+        (60, 12, lambda x: _columns(x, 12)),  # l = 5 <= r*r*c = 12
+        (2310, 330, lambda x: _columns(x, 330)),  # l = 7
+        (2 ** 16, 1024, lambda x: _columns(x, 1024)),  # a large frame whose rows hold 1024 values or more
+    ],
+    "widened": [
+        (4096, 2, lambda x: _columns(_columns(x, 64), 2)),  # r = 32: 64 rows of 64
+        (2 ** 16, 8, lambda x: _columns(_columns(x, 1024), 8)),  # r = 128: near-square r = 32, widened
+        # r = 512: 64 rows of 1024, whose sums take the rule again (r = 16: 32 rows of 32)
+        (2 ** 16, 2, lambda x: _columns(_columns(_columns(x, 1024), 32), 2)),
+    ],
+    "leftover-rows": [
+        (6, 2, lambda x: _columns(_with_rows_left_over(x, 4, 1, 2), 2)),  # l = 3, r = 2: one row of 4
+        (36, 4, lambda x: _columns(_with_rows_left_over(x, 8, 1, 4), 4)),  # l = 9, r = 2, q = 4
+        (74, 2, lambda x: _columns(_with_rows_left_over(x, 16, 5, 2), 2)),  # l = 37, r = 8, q = 4
+        # l = 78,125, r = 128, q = 610: 45 rows left over
+        (2 * 5 ** 8, 10, lambda x: _columns(_with_rows_left_over(x, 1280, 45, 10), 10)),
+        # l = 177,147, r = 512, q = 345: 507 rows left over, then the 1536
+        # sums by the rule (r = 16: 32 rows of 48)
+        (3 ** 12, 3, lambda x: _columns(_columns(_with_rows_left_over(x, 1536, 507, 3), 48), 3)),
+    ],
+}
+
+
+@pytest.mark.parametrize("path", ORDER_PINS)
+def test_fold_order_of_each_path_of_the_rule(path):
+    # each path of the rule adds in its fixed order, byte for byte, for
+    # contiguous and strided input alike
     rng = np.random.default_rng(16)
-    for n in (24, 36, 60, 96, 2310):
-        x = random_complex(rng, n)
-        for c, l in divisor_pairs(n):
-            if l % 2 == 1 or l <= c:
-                want = np.add.reduce(x.reshape(l, c), axis=0)
-                assert fold(x, make_plan(n, c)).samples.tobytes() == want.tobytes(), (n, c)
+    for n, c, want in ORDER_PINS[path]:
+        for x in (random_complex(rng, n), random_complex(rng, 2 * n)[::2]):
+            assert fold(x, make_plan(n, c)).samples.tobytes() == want(x).tobytes(), (n, c, x.strides)
 
 
 @pytest.mark.parametrize("n", [2 ** 16, 3 * 2 ** 15, 2 ** 18])
@@ -320,32 +363,39 @@ def test_finite_sums_whose_transform_overflows_raise_through_the_pipeline():
                     assert str(err.value) == OVERFLOW, (n, c, part, fn)
 
 
-def _pass_lengths(l, c):
-    # the two pass lengths of fold's kernel: l' rows of width w, then w/c rows
-    w = c
-    while l % 2 == 0 and l > w:
-        l, w = l // 2, w * 2
-    return l, w // c
+def _pass_lengths(n, c):
+    # the rows each pass of fold's rule adds, in order: the q wide rows and
+    # one more when rows are left over, then the passes that fold the r*c sums
+    module = importlib.import_module("ricdft.fold")
+    l, r = n // c, 1
+    while l > r * r * c or (n >= module._COLD and r * c < module._ROW):
+        r *= 2
+    first = [l // r + (l % r > 0)]
+    if r > module._DEEP:
+        return first + _pass_lengths(r * c, c)
+    return first + [r] * (r > 1)
 
 
 @pytest.mark.parametrize("kind", ["random", "cancelling"])
 def test_fold_error_against_fsum(kind):
-    # recursive summation over each pass: |error| <= (l' + w/c) u sum|x_col|
-    n = 2 ** 18
+    # recursive summation over each pass: |error| <= (sum of pass lengths) u sum|x_col|,
+    # at every power-of-two l of n = 2^18 and at odd l, whose rows are left over
     rng = np.random.default_rng(17)
-    x = random_complex(rng, n)
-    if kind == "cancelling":
-        # +v at i and -v at i + n/2 (|v| ~ 1e8), in the same column for every c,
-        # under O(1) noise: column sums are tiny next to sum|x_col|
-        v = 1e8 * (rng.uniform(1, 2, n // 2) + 1j * rng.uniform(1, 2, n // 2))
-        x = x + np.concatenate([v, -v])
-    for q in range(1, 18):
-        l = 2 ** q
-        c = n // l
-        got = fold(x, make_plan(n, c)).samples
-        cols = x.reshape(l, c).T
-        exact = np.array([complex(math.fsum(re), math.fsum(im))
-                          for re, im in zip(cols.real.tolist(), cols.imag.tolist())])
-        l1, l2 = _pass_lengths(l, c)
-        bound = (l1 + l2) * 2.0 ** -53 * np.abs(cols).sum(axis=1)
-        assert np.all(np.abs(got - exact) <= bound), (kind, l)
+    for n, cs in ((2 ** 18, [2 ** 18 >> q for q in range(1, 18)]), (3 ** 12, [3]), (2 * 5 ** 8, [2, 10])):
+        x = random_complex(rng, n)
+        if kind == "cancelling":
+            # +v in row i and -v in row i + l // 2 (|v| ~ 1e8), so in the same
+            # column, under O(1) noise: column sums are tiny next to sum|x_col|
+            v = 1e8 * (rng.uniform(1, 2, n // 2) + 1j * rng.uniform(1, 2, n // 2))
+        for c in cs:
+            l = n // c
+            y = x
+            if kind == "cancelling":
+                h = l // 2 * c
+                y = x + np.concatenate([v[:h], -v[:h], np.zeros(n - 2 * h)])
+            got = fold(y, make_plan(n, c)).samples
+            cols = y.reshape(l, c).T
+            exact = np.array([complex(math.fsum(re), math.fsum(im))
+                              for re, im in zip(cols.real.tolist(), cols.imag.tolist())])
+            bound = sum(_pass_lengths(n, c)) * 2.0 ** -53 * np.abs(cols).sum(axis=1)
+            assert np.all(np.abs(got - exact) <= bound), (kind, n, c)

@@ -211,6 +211,24 @@ def test_spectrum_of_another_count_than_c_raises_and_writes_nothing(tmp_path, si
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("shape", ((2, 2), (4, 1), (1, 4)))
+def test_spectrum_of_another_shape_than_c_raises_and_writes_nothing(tmp_path, shape):
+    # plan (8, 4) holds 4 values in one axis: the same 4 values in two axes
+    # would be paired with the indices row by row, so csv and json raise
+    # before the file is opened, and entries raises
+    spectrum = ric_dft(GOLDEN_X, make_plan(8, 4), NormalizationMode.NONE)
+    spectrum = dataclasses.replace(spectrum, values=np.arange(4, dtype=np.complex128).reshape(shape))
+    message = f"spectrum has values of shape {shape}, plan expects 4"
+    for kind in ("csv", "json"):
+        with pytest.raises(LengthMismatchError) as excinfo:
+            write_spectrum(spectrum, tmp_path / f"spec.{kind}", kind)
+        assert str(excinfo.value) == message
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(LengthMismatchError) as excinfo:
+        spectrum.entries
+    assert str(excinfo.value) == message
+
+
 def test_write_spectrum_bad_path(tmp_path):
     spectrum = ric_dft(GOLDEN_X, make_plan(8, 4), NormalizationMode.NONE)
     with pytest.raises(OSError):
