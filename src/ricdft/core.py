@@ -107,9 +107,6 @@ class RicPlan:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", c)
 
-    def __getstate__(self):  # a copy leaves out the oracle record ricdft.ric keeps on the plan
-        return {"n": self.n, "c": self.c}
-
     @property
     def l(self) -> int:
         return self.n // self.c

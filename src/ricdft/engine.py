@@ -15,7 +15,7 @@ Bailey's four-step FFT (1990) does, a B-point DFT matrix, read from the
 same table, in place of its inner FFTs, and forms only the P residues k
 mod M of its rows, as output-pruned DFTs do (Sorensen & Burrus, 1993):
 m*P + P*B*B products, not m*c.  ``_direct_rows`` states its stages and
-when a row's bits repeat, ``_twiddles`` its layout and keep size, and
+when a row's bits repeat, ``_twiddles`` its layout and size, and
 :func:`op_counts` the counting convention.  Every path scales once, in
 ``_scaled``.
 """
@@ -42,10 +42,6 @@ _TABLES = 2
 # Values a twiddle block of the direct row kernel aims at: 2**13 complex
 # values, 128 KB, so that a block and the temporaries it meets stay in L2.
 _BLOCK_CELLS = 1 << 13
-
-# Values up to which a row set's twiddle blocks come back materialized, for a
-# caller to keep (1 MiB): gathering them is most of an oracle call at n = 4096.
-_KEPT_CELLS = 1 << 16
 
 # Depth of each BLAS product in the row kernel: a threaded OpenBLAS splits a
 # deeper one where the number of rows decides, which changes a row's bits.
@@ -114,15 +110,16 @@ def dft_direct(
     return _finite(_scaled(_direct_rows(x, direction, _twiddles(m, 1)), direction, mode, m))
 
 
-_RowBlocks = collections.namedtuple("_RowBlocks", "b rows values reusable chunks")
+_RowBlocks = collections.namedtuple("_RowBlocks", "b rows values chunks")
 
 
 def _direct_rows(x: np.ndarray, direction: Direction, blocks: _RowBlocks) -> np.ndarray:
     """Unscaled sums over j of x[j] * W_m**(-+ k*j) at the rows k = step*q that ``blocks`` serves.
 
-    ``blocks`` is what ``_twiddles(m, step)`` returned, kept or fresh, for a
-    validated length-m x.  With m = B*M, j = j1 + B*j2 and k = r + M*t, row k
-    is G[k mod M, t] of Y = T*X (Y[r, j1] = sum over j2 of W_M**(r*j2) *
+    ``blocks`` is what ``_twiddles(m, step)`` returned, lazy or as the record
+    :mod:`ricdft.ric`'s oracle materialized and keeps, for a validated
+    length-m x.  With m = B*M, j = j1 + B*j2 and k = r + M*t, row k is
+    G[k mod M, t] of Y = T*X (Y[r, j1] = sum over j2 of W_M**(r*j2) *
     x[j1 + B*j2]), Z = w*Y (w[r, j1] = W_m**(r*j1)) and G = Z*F, read at ``at``.
     A row gets the same bits at any step: Y and G are BLAS products of depth
     _DEPTH over two or more residues (one takes BLAS's vector path, which
@@ -169,10 +166,11 @@ def _twiddles(m: int, step: int) -> _RowBlocks:
     chunk of Y's rows p0, ... gives its depth slices (d, W_m**(r*B*j2) for j2
     in d), its w = W_m**(r*j1) and ``at``, its places' flat index into its
     G, at[i, p - p0] = (p - p0)*B + floor(step*p/M) + s*i for p < P:
-    M*max(2, P) + max(2, P)*B twiddles and c indices.  It alone decides
-    layout and keep size: at most _KEPT_CELLS twiddles come back
-    materialized and ``reusable``, more lazily in chunks of about
-    _BLOCK_CELLS values, all read-only; ``rows`` is the outputs' shape (c/P, P).
+    M*max(2, P) + max(2, P)*B twiddles, their count ``values``, and c indices.
+    It alone decides the layout, not what is kept: the chunks, of about
+    _BLOCK_CELLS values, and their depth slices come lazily, read-only, and
+    :mod:`ricdft.ric`'s oracle materializes and keeps a small record itself;
+    ``rows`` is the outputs' shape (c/P, P).
     """
     b = next(d for d in range(math.isqrt(m), 0, -1) if m % d == 0)
     table, mm, c = twiddle_table(m), m // b, m // step
@@ -189,9 +187,7 @@ def _twiddles(m: int, step: int) -> _RowBlocks:
 
     rows = max(2, _BLOCK_CELLS // max(_DEPTH, b))  # of Y per chunk, two or more
     chunks = (chunk(p) for p in np.array_split(np.arange(residues), max(1, residues // rows)))
-    if reusable := (values := residues * (mm + b)) <= _KEPT_CELLS:
-        chunks = tuple((tuple(ts), w, at) for ts, w, at in chunks)
-    return _RowBlocks(b, (c // period, period), values, reusable, chunks)
+    return _RowBlocks(b, (c // period, period), residues * (mm + b), chunks)
 
 
 @_float_guard

@@ -18,7 +18,9 @@ when numpy lacks that reader: it returns the same values, bit for bit, or
 raises :class:`SignalFileError` with the first bad line.  Both read the text
 through ``_csv_text``, which alone states how it is decoded and which line
 is the header.  A spectrum's csv lines and json entries come from one list
-of (k, index, re, im) rows; a json spectrum is rendered from one template,
+of (k, index, re, im) rows, built from its ``entries``, which
+:mod:`ricdft.ric` alone pairs with the plan's indices, so this module
+imports nothing from it; a json spectrum is rendered from one template,
 with the bytes ``json.dumps(doc, indent=2)`` gives, since ``indent`` keeps
 ``json`` on its pure-Python encoder.
 """
@@ -38,7 +40,6 @@ except ImportError:
 
 from .core import (OutOfRangeError, RicdftError, _allocated, _member, _float_guard, _real, _shown,
                    _size, as_complex_sequence)
-from .ric import _index_range
 
 
 class SignalFormat(str, Enum):
@@ -162,7 +163,7 @@ def write_signal(x, path, fmt=SignalFormat.CSV):
                 rows = zip(block.real.tolist(), block.imag.tolist())
                 fh.write("".join(f"{a!r},{b!r}\n" for a, b in rows))
     else:
-        x.astype("<c16").tofile(path)
+        x.astype("<c16", copy=False).tofile(path)  # a copy only on a big-endian host
 
 
 def write_spectrum(spectrum, path, fmt="csv"):
@@ -176,13 +177,13 @@ def write_spectrum(spectrum, path, fmt="csv"):
     kind = str(fmt).lower() if isinstance(fmt, str) else None
     if kind not in _SPECTRUM_FORMATS:
         raise OutOfRangeError(f"unknown spectrum format {_shown(fmt)}")
-    z, plan = spectrum.values, spectrum.plan
-    rows = list(zip(range(z.size), _index_range(spectrum), z.real.tolist(), z.imag.tolist()))
+    rows = [(k, idx, z.real, z.imag) for k, (idx, z) in enumerate(spectrum.entries)]
     if kind == "csv":
         with open(path, "w", newline="") as fh:
             fh.write("k,index,re,im\n")
             fh.writelines(f"{k},{idx},{re!r},{im!r}\n" for k, idx, re, im in rows)
         return
+    plan = spectrum.plan
     header = {"n": plan.n, "c": plan.c, "l": plan.l,
               "mode": spectrum.mode.value, "direction": spectrum.direction.value}
     head = ",\n".join(f"    {json.dumps(key)}: {json.dumps(value)}" for key, value in header.items())

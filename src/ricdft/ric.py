@@ -17,6 +17,7 @@ definition at the c retained rows only, by the row kernel of
 ground-truth equivalence check.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,13 @@ from .core import (Direction, LengthMismatchError, NormalizationMode, RicPlan, S
                    _complex_array, _member, _float_guard, _tolerance)
 from .engine import _direct_rows, _fft, _scaled, _twiddles, op_counts
 from .fold import _checked, _fold, _fold_counts
+
+# Values up to which the oracle keeps a plan's twiddle record, materialized (1 MiB):
+# gathering it is most of an oracle call at n = 4096.  _KEPT maps id(plan) to the
+# record while that plan object lives; a finalizer drops the entry with the plan
+# (threads racing on a new plan may each add one: pop's default makes the rest no-ops).
+_KEPT_CELLS = 1 << 16
+_KEPT = {}
 
 
 @dataclass(frozen=True)
@@ -43,17 +51,16 @@ class RicSpectrum:
 
     @property
     def entries(self) -> list[tuple[int, complex]]:
-        """(original_index, value) pairs in ascending index order; LengthMismatchError unless shape (c,)."""
-        return list(zip(_index_range(self), self.values.tolist()))
+        """(original_index, value) pairs in ascending index order; LengthMismatchError unless shape (c,).
 
-
-def _index_range(spectrum: RicSpectrum) -> range:
-    """The indices k*L of a spectrum's entries; LengthMismatchError unless its values have shape (c,)."""
-    values, plan = spectrum.values, spectrum.plan
-    if values.shape != (plan.c,):
-        held = f"{values.size} values" if values.ndim == 1 else f"values of shape {values.shape}"
-        raise LengthMismatchError(f"spectrum has {held}, plan expects {plan.c}")
-    return range(0, plan.n, plan.l)
+        The one place a spectrum's indices meet its values: :mod:`ricdft.io`
+        writes its files' rows from these pairs.
+        """
+        values, plan = self.values, self.plan
+        if values.shape != (plan.c,):
+            held = f"{values.size} values" if values.ndim == 1 else f"values of shape {values.shape}"
+            raise LengthMismatchError(f"spectrum has {held}, plan expects {plan.c}")
+        return list(zip(ric_index_set(plan).tolist(), values.tolist()))
 
 
 def ric_index_set(plan: RicPlan) -> np.ndarray:
@@ -172,16 +179,19 @@ def verify_against_oracle(
 def _oracle(x, plan: RicPlan, direction: Direction, mode: NormalizationMode) -> np.ndarray:
     """The retained coefficients by the definition: rows k*L of the n-point direct transform.
 
-    The row kernel of :mod:`ricdft.engine` at step L, scaled at length n,
-    on the twiddle record a plan keeps when the engine returns it
-    reusable: in the plan object's own ``__dict__``, found without hashing
-    the plan and freed with it.  The fold, the c-point FFT and
+    The row kernel of :mod:`ricdft.engine` at step L, scaled at length n.
+    A twiddle record of at most _KEPT_CELLS values is materialized once and
+    kept in _KEPT under id(plan), so the plan is never hashed or written to,
+    and an equal, copied or pickled plan builds its own; a larger one is
+    read lazily on each call.  The fold, the c-point FFT and
     W_n**(l*m) = W_c**m go unused.  Checks nothing: the pipeline has accepted x
     (its length, and every value finite, so no NaN/Inf sample) and
     direction and mode are members; ``_report`` checks the rows' maximum.
     """
-    if (blocks := plan.__dict__.get("_oracle_blocks")) is None:
+    if (blocks := _KEPT.get(id(plan))) is None:
         blocks = _twiddles(plan.n, plan.l)
-        if blocks.reusable:
-            plan.__dict__["_oracle_blocks"] = blocks
+        if blocks.values <= _KEPT_CELLS:
+            chunks = tuple((tuple(ts), w, at) for ts, w, at in blocks.chunks)
+            blocks = _KEPT[id(plan)] = blocks._replace(chunks=chunks)
+            weakref.finalize(plan, _KEPT.pop, id(plan), None)
     return _scaled(_direct_rows(x, direction, blocks), direction, mode, plan.n)

@@ -407,13 +407,18 @@ def test_usage_error_exit_code():
     # finite pipeline values whose oracle overflows float64
     (["verify", "--in", ORACLE_OVERFLOW_CSV, "--n", "8", "--c", "2"], 2),
     (["verify", "--in", ORACLE_OVERFLOW_CSV, "--n", "8", "--c", "2", "--direction", "inverse"], 2),
+    # neither --in nor --random
+    (["verify", "--n", "16", "--c", "4"], 2),
+    # a bin that is not an integer
+    (["synth", "--n", "16", "--tone", "x:1", "--out", "{tmp}/t.csv"], 2),
 ], ids=["bench-bad-list", "plan-bad-target", "synth-nan-amp", "dft-wrong-length",
         "verify-nan-tol", "verify-negative-tol", "plan-nan-tol", "verify-negative-seed",
         "bench-non-divisor", "plan-nan-target", "verify-huge-n", "synth-huge-n",
         "bench-c-above-half", "bench-no-pow2-c", "dft-not-utf8", "verify-in-and-random",
         "synth-unallocatable-n", "verify-unallocatable-n", "synth-overflow",
         "verify-bad-tol-missing-file", "dft-overflow", "idft-overflow", "verify-overflow",
-        "verify-inverse-overflow", "verify-oracle-overflow", "verify-inverse-oracle-overflow"])
+        "verify-inverse-overflow", "verify-oracle-overflow", "verify-inverse-oracle-overflow",
+        "verify-neither-input", "synth-non-integer-bin"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, code):
     write_signal(GOLDEN_X, tmp_path / "x.csv")  # 8 samples: wrong length for n = 16
     (tmp_path / "b.csv").write_bytes(b"\xff\xfe1,2\n1,2\n1,2\n1,2\n")  # not UTF-8
@@ -424,4 +429,4 @@ def test_bad_input_exit_code_without_traceback(tmp_path, argv, code):
     )
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr

@@ -210,10 +210,10 @@ def test_twiddles_count_the_values_their_blocks_hold(m):
     # M*max(2, P) + max(2, P)*B at every step s: W_M**(r*j2) and W_m**(r*j1)
     # for each of the P = M/gcd(s, M) residues r = k mod M of the rows k = s*q,
     # at least two, and no per-row twiddle; the count and the geometry come
-    # with the blocks, before any is gathered; a row set of at most
-    # _KEPT_CELLS values comes back materialized, a larger one lazily; the
-    # chunks of Y's rows, of two or more and lazily of about _BLOCK_CELLS
-    # values, and their depth slices cover them in order, and each chunk's
+    # with the blocks, before any is gathered; they come lazily at any size
+    # (ricdft.ric decides what to keep); the chunks of Y's rows, of two or
+    # more and of about _BLOCK_CELLS values, and their depth slices cover
+    # them in order, and each chunk's
     # read-only index at[i, p - p0] = (p - p0)*B + floor(s*p/M) + i*s/gcd(s, M)
     # reads row q = P*i + p of its places p < P from its G, flat, with
     # B == (c/P)*s/gcd(s, M): the chunks' real places cover [0, P) in order
@@ -225,17 +225,12 @@ def test_twiddles_count_the_values_their_blocks_hold(m):
         period = mm // g
         assert blocks.values == mm * max(2, period) + max(2, period) * b, step
         assert blocks.b == b and blocks.rows == (m // step // period, period), step
-        assert blocks.reusable == (blocks.values <= engine._KEPT_CELLS), step
         assert b == m // step // period * (step // g), step
-        if blocks.reusable:
-            assert isinstance(blocks.chunks, tuple), step
         held, r0, p0 = 0, 0, 0
         for ts, w, at in blocks.chunks:
-            if blocks.reusable:
-                assert isinstance(ts, tuple), step
             rows = w.shape[0]
             assert rows >= 2 and w.shape == (rows, b) and not w.flags.writeable, step
-            assert blocks.reusable or w.size < 2 * max(engine._BLOCK_CELLS, 2 * b), step
+            assert w.size < 2 * max(engine._BLOCK_CELLS, 2 * b), step
             j2 = 0
             for d, t in ts:  # depth slices of x.reshape(M, B), in order
                 assert d.start == j2 and t.shape == (rows, len(range(mm)[d])), step
@@ -259,7 +254,7 @@ def test_oracle_at_2_18_gathers_under_a_million_twiddles():
     # row product would be c*B = 67,108,864; F is the length's, not the plan's
     n = 1 << 18
     blocks = engine._twiddles(n, 2)
-    assert not blocks.reusable and blocks.values == 256 * (512 + 512) < 1 << 20
+    assert blocks.values == 256 * (512 + 512) < 1 << 20
     held = 0
     for ts, w, _ in blocks.chunks:
         held += w.size + sum(t.size for _, t in ts)

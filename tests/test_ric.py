@@ -1,9 +1,12 @@
+import copy
 import gc
 import importlib
 import itertools
 import math
 import os
 import pickle
+import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -120,7 +123,8 @@ def test_ric_index_set():
 
 def test_ric_index_set_is_derived_from_the_plan():
     # the indices follow from (n, c): each call builds them, and neither a
-    # spectrum nor its plan keeps a copy
+    # spectrum nor its plan keeps a copy; nothing is written into the plan,
+    # by the pipeline or by the oracle, which keeps its record in ricdft.ric
     rng = np.random.default_rng(34)
     for n, c in ((8, 4), (24000, 3000), (2 ** 18, 2 ** 17)):
         plan = make_plan(n, c)
@@ -132,6 +136,9 @@ def test_ric_index_set_is_derived_from_the_plan():
             assert spectrum.indices.dtype == np.int64
             assert spectrum.indices.tobytes() == idx.tobytes()
             assert spectrum.entries == list(zip(idx.tolist(), spectrum.values.tolist()))
+        assert vars(plan) == {"n": n, "c": c}
+        for direction in (F, I):
+            assert verify_against_oracle(x, plan, direction=direction).passed
         assert vars(plan) == {"n": n, "c": c}
 
 
@@ -268,7 +275,7 @@ def test_one_c_point_array_per_kept_oracle_call(direction, c):
     # a second c-point array (16c + 1,192 to 8,928 bytes over Y and G)
     x, plan = random_complex(np.random.default_rng(c), 4096), make_plan(4096, c)
     ricdft.ric._oracle(x, plan, direction, NONE)
-    (_, w, _), = vars(plan)["_oracle_blocks"].chunks
+    (_, w, _), = ricdft.ric._KEPT[id(plan)].chunks
     tracemalloc.start()
     try:
         ricdft.ric._oracle(x, plan, direction, NONE)
@@ -381,33 +388,63 @@ def test_oracle_keeps_read_only_twiddles_per_live_plan(monkeypatch):
     x = random_complex(rng, plan.n)
     assert verify_against_oracle(x, plan).passed
     assert calls == [(65536, 2)]  # one call for a fresh plan: its record says what to keep
-    kept = vars(plan)["_oracle_blocks"]
-    assert kept.reusable and isinstance(kept.chunks, tuple)
+    kept = ricdft.ric._KEPT[id(plan)]
+    assert isinstance(kept.chunks, tuple)
     blocks = [t for ts, _, _ in kept.chunks for _, t in ts] + [w for _, w, _ in kept.chunks]
     before = [block.copy() for block in blocks]
-    assert sum(block.size for block in blocks) == kept.values == ricdft.engine._KEPT_CELLS
+    assert sum(block.size for block in blocks) == kept.values == ricdft.ric._KEPT_CELLS
     # the inverse conjugates each residue block into a fresh array and its own
     # residue sums in place, never a kept block
     ricdft.ric._oracle(x, plan, I, UNITARY)
-    assert vars(plan)["_oracle_blocks"] is kept
+    assert ricdft.ric._KEPT[id(plan)] is kept
     for block, old in zip(blocks, before):
         assert not block.flags.writeable and block.tobytes() == old.tobytes()
-    # the record lives on the plan object: an equal plan holds none, and a
-    # pickled plan carries none, so it rebuilds its own blocks read-only
-    assert "_oracle_blocks" not in vars(make_plan(65536, 32768))
-    assert "_oracle_blocks" not in vars(pickled := pickle.loads(pickle.dumps(plan)))
-    assert pickled == plan
+    # the record belongs to the plan object: an equal, copied or pickled plan
+    # has none, so it rebuilds its own blocks read-only
+    for other in (make_plan(65536, 32768), copy.copy(plan), pickle.loads(pickle.dumps(plan))):
+        assert other == plan and id(other) not in ricdft.ric._KEPT
     # 116 * (348 + 217) = 65,540 and 138 * (276 + 199) = 65,550 values: just
     # over the limit, nothing kept
     for n, c in ((75516, 25172), (54924, 27462)):
         big = make_plan(n, c)
         ricdft.ric._oracle(random_complex(rng, n), big, F, NONE)
-        assert "_oracle_blocks" not in vars(big)
+        assert id(big) not in ricdft.ric._KEPT
     # the record dies with its plan
-    block = weakref.ref(blocks[0])
+    block, key = weakref.ref(blocks[0]), id(plan)
     del plan, kept, blocks
     gc.collect()
-    assert block() is None
+    assert block() is None and key not in ricdft.ric._KEPT
+
+
+def test_kept_records_under_threads():
+    # four threads, more than the cores, verify on one shared plan and on
+    # fresh plans of their own with a short switch interval: each report
+    # has the serial run's bits, the shared plan ends with one record, and
+    # every fresh plan's record goes with its plan
+    rng = np.random.default_rng(43)
+    plan, xs = make_plan(4096, 64), [random_complex(rng, 4096) for _ in range(4)]
+    want = [_bits(verify_against_oracle(x, make_plan(4096, 64))) for x in xs]
+    before, got = set(ricdft.ric._KEPT), [set() for _ in xs]
+
+    def work(i):
+        for _ in range(10):
+            for shared in (plan, make_plan(4096, 64)):
+                got[i].add(tuple(_bits(verify_against_oracle(xs[i], shared))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(xs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [{tuple(bits)} for bits in want]
+    gc.collect()
+    assert set(ricdft.ric._KEPT) - before == {id(plan)}
 
 
 def test_second_verify_under_a_kept_plan_gathers_nothing(monkeypatch):
@@ -418,7 +455,7 @@ def test_second_verify_under_a_kept_plan_gathers_nothing(monkeypatch):
     plan = make_plan(4096, 512)
     x = random_complex(np.random.default_rng(42), plan.n)
     verify_against_oracle(x, plan)
-    assert "_oracle_blocks" in vars(plan)
+    assert id(plan) in ricdft.ric._KEPT
     calls = []
 
     def counting(fn, name):
@@ -480,7 +517,7 @@ def test_verify_reports_the_pipeline_against_the_oracle_bit_for_bit(case):
         want = compare_values(run(x, plan, mode).values, oracle, 1e-12)
         fresh = make_plan(plan.n, plan.c)
         for kept in (False, True):
-            assert ("_oracle_blocks" in vars(fresh)) is kept
+            assert (id(fresh) in ricdft.ric._KEPT) is kept
             got = verify_against_oracle(x, fresh, mode, direction, 1e-12)
             assert _bits(got) == _bits(want), (plan, direction, mode, kept, got, want)
 
